@@ -9,14 +9,13 @@ mode, and two conditional setups.  Mixture parameters are read as
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import os
 import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import stats

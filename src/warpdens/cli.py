@@ -12,10 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
-import os
 import sys
-import tempfile
 
 import numpy as np
 
@@ -53,17 +50,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _atomic_write_json(path: str, payload: dict) -> None:
-    d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    bench_mod._atomic_write(path, json.dumps(payload, indent=2) + "\n")
 
 
 def _read_csv_columns(path: str, ncols: int) -> np.ndarray:
@@ -150,11 +137,7 @@ def _estimate_payload(est: DensityEstimate, grid_points: int = 512) -> dict:
 
 def _write_curve_csv(path: str, payload: dict) -> None:
     lines = ["x,p"] + [f"{pt['x']!r},{pt['p']!r}" for pt in payload["curve"]]
-    d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-")
-    with os.fdopen(fd, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-    os.replace(tmp, path)
+    bench_mod._atomic_write(path, "\n".join(lines) + "\n")
 
 
 def cmd_fit(args) -> int:

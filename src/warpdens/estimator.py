@@ -3,15 +3,15 @@
 The density estimate is the warped, renormalized template
 g(gamma_c(t)) / integral g(gamma_c(t)) dt, maximized jointly over the
 coefficient vector c (restricted to the ball of radius 2*pi) and the
-height-ratio vector.  Optimization is multi-start Nelder-Mead on an
-unconstrained reparameterization; the basis dimension J is swept and the
-best AIC wins.
+height-ratio vector.  Optimization is multi-start L-BFGS-B on an
+unconstrained reparameterization, driven by the analytic gradient of the
+likelihood; the basis dimension J is swept and the best AIC wins.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
@@ -32,15 +32,18 @@ from .geometry import (
     unit_grid,
 )
 from .templates import (
+    MODE_TOL,
     GridDensity,
     ShapeSpec,
     _reference_level,
     build_template,
     count_modes,
-    level_heights,
 )
 
 _AIC_TIE = 1e-9
+_U_CLIP = 30.0  # height parameters saturate here (exp(30) ~ 1e13)
+_VISIBLE = 4.0  # antimode depth in multiples of the least rise count_modes sees
+_PROJECTED_RADIUS = COEFF_RADIUS - 1e-6
 
 
 @dataclass(frozen=True)
@@ -61,8 +64,16 @@ class FitConfig:
     def __post_init__(self):
         if self.j_min < 1 or self.j_min > self.j_max:
             raise ConstraintError("need 1 <= j_min <= j_max")
+        if self.j_step < 1:
+            raise ConstraintError("j_step must be >= 1")
         if self.restarts < 1:
             raise ConstraintError("restarts must be >= 1")
+        if self.maxiter < 1:
+            raise ConstraintError("maxiter must be >= 1")
+        if self.n_grid < 5:
+            raise ConstraintError("n_grid must be >= 5")
+        if not 0.0 < self.omega < 1.0:
+            raise ConstraintError("omega must satisfy 0 < omega < 1")
 
     def j_values(self) -> list[int]:
         return list(range(self.j_min, self.j_max + 1, self.j_step))
@@ -119,75 +130,18 @@ def rescale_to_unit(x: np.ndarray, a: float, b: float) -> np.ndarray:
     return (x - a) / (b - a)
 
 
-class _ParamMap:
-    """Unconstrained reparameterization of (c, lambda).
-
-    Mode heights enter as exp(u) (the first mode stays pinned at 1) and
-    each antimode as sigmoid(w) times the smaller of its neighboring mode
-    heights, so every search point satisfies the height-ratio
-    inequalities by construction.  Coefficient vectors beyond the
-    feasible ball are pulled back by radial projection.
-    """
-
-    def __init__(self, shape: ShapeSpec, omega: float, j: int):
-        self.shape = shape
-        self.omega = omega
-        self.j = j
-        levels = shape.levels()
-        self.ref = _reference_level(levels)
-        self.slots = []  # (level_index, role) for free levels, left to right
-        for i, lv in enumerate(levels):
-            if i == self.ref:
-                continue
-            if lv.boundary and not shape.free_boundaries:
-                continue
-            self.slots.append((i, lv.role))
-        self.levels = levels
-        self.n_lambda = len(self.slots)
-        self.n_params = j + self.n_lambda
-
-    def heights_from(self, theta_lam: np.ndarray) -> np.ndarray:
-        """All level heights from the unconstrained height parameters."""
-        heights = np.full(len(self.levels), np.nan)
-        heights[self.ref] = 1.0
-        for i, lv in enumerate(self.levels):
-            if lv.boundary and not self.shape.free_boundaries and i != self.ref:
-                heights[i] = self.omega
-        highs_first = [
-            (k, (i, role)) for k, (i, role) in enumerate(self.slots) if role == "high"
-        ] + [(k, (i, role)) for k, (i, role) in enumerate(self.slots) if role == "low"]
-        for k, (i, role) in highs_first:
-            u = theta_lam[k]
-            if role == "high":
-                heights[i] = math.exp(np.clip(u, -30.0, 30.0))
-            else:
-                cap = min(
-                    heights[i - 1] if i > 0 else math.inf,
-                    heights[i + 1] if i + 1 < len(self.levels) else math.inf,
-                )
-                if not math.isfinite(cap):
-                    cap = 1.0
-                heights[i] = cap / (1.0 + math.exp(-np.clip(u, -30.0, 30.0)))
-        return heights
-
-    def lam_from(self, theta_lam: np.ndarray) -> np.ndarray:
-        heights = self.heights_from(theta_lam)
-        lam = [heights[i] for i, _ in self.slots]
-        return np.asarray(lam)
-
-    def split(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        c = np.asarray(theta[: self.j], float)
-        nrm = float(np.linalg.norm(c))
-        if nrm > COEFF_RADIUS:
-            c = c * (COEFF_RADIUS - 1e-6) / nrm
-        return c, self.lam_from(np.asarray(theta[self.j :], float))
-
-
 class _Objective:
-    """Precomputed fast evaluator of the (weighted) log-likelihood.
+    """Negative log-likelihood and its analytic gradient in search coordinates.
 
-    Avoids the validated public types in the optimizer's hot loop; the
-    final reported likelihood is recomputed through the public path.
+    theta = (c, u).  The coefficient vector c is pulled back onto the
+    feasible ball by radial projection when it leaves it.  Mode heights
+    enter as exp(u) (the first mode stays pinned at 1).  Each antimode is
+    sigmoid(u) * (cap - gap), where cap is the lower of its neighboring
+    mode heights and gap is _VISIBLE times the smallest rise over one piece
+    that ``count_modes`` resolves on the grid, relative to the tallest mode
+    (at most cap / 2).  Every search point thus satisfies the height-ratio
+    inequalities, and a saturated antimode stays visible on the grid.
+    The reported likelihood is recomputed through the public path.
     """
 
     def __init__(
@@ -199,86 +153,169 @@ class _Objective:
         n_grid: int,
         weights: np.ndarray | None,
     ):
-        self.z = np.asarray(z, float)
-        self.shape = shape
-        self.omega = omega
-        self.n_grid = n_grid
-        self.weights = weights
-        self.t = unit_grid(n_grid)
+        self.j = j
         self.h = 1.0 / (n_grid - 1)
         self.b = fourier_basis(j, n_grid).b
-        self.knots = shape.knots
+        self.trap = np.full(n_grid, self.h)  # trapezoid quadrature weights
+        self.trap[[0, -1]] *= 0.5
         self.n_pieces = shape.n_pieces
+        self.rel_gap = _VISIBLE * MODE_TOL * (n_grid - 1) / shape.n_pieces
         levels = shape.levels()
-        self.level_of_knot = np.empty(len(self.knots), dtype=int)
+        self.level_of_knot = np.empty(shape.n_pieces + 1, dtype=int)
         for li, lv in enumerate(levels):
             for kn in lv.knots:
                 self.level_of_knot[kn] = li
-        self.direction = np.array(
+        direction = np.array(
             [1 if p == "inc" else -1 if p == "dec" else 0 for p in shape.pieces]
         )
-        self.nonflat = self.direction != 0
-        self.pmap = _ParamMap(shape, omega, j)
+        self.nonflat = direction != 0
+        self.direction = direction[self.nonflat]
+
+        ref = _reference_level(levels)
         self.base_heights = np.full(len(levels), omega)
-        self.base_heights[self.pmap.ref] = 1.0
-        self.slot_idx = np.array([i for i, _ in self.pmap.slots], dtype=int)
+        self.base_heights[ref] = 1.0
+        self.slots = [  # (level_index, role) for free levels, left to right
+            (i, lv.role)
+            for i, lv in enumerate(levels)
+            if i != ref and (shape.free_boundaries or not lv.boundary)
+        ]
+        self.slot_levels = np.array([i for i, _ in self.slots], dtype=int)
+        self.modes = [
+            (k, i) for k, (i, role) in enumerate(self.slots) if role == "high"
+        ]
+        self.antimodes = [
+            (k, i, [n for n in (i - 1, i + 1) if 0 <= n < len(levels)])
+            for k, (i, role) in enumerate(self.slots)
+            if role == "low"
+        ]
+        self.n_params = j + len(self.slots)
+
         # fixed sample positions in grid coordinates
-        zi = np.clip(self.z * (n_grid - 1), 0.0, n_grid - 1 - 1e-12)
+        z = np.asarray(z, float)
+        zi = np.clip(z * (n_grid - 1), 0.0, n_grid - 1 - 1e-12)
         self.z_lo = zi.astype(int)
         self.z_frac = zi - self.z_lo
+        self.wt = np.ones(z.size) if weights is None else z.size * np.asarray(weights)
+        self.wt_sum = float(self.wt.sum())
 
-    def _trapz(self, f: np.ndarray) -> float:
-        return self.h * (float(f.sum()) - 0.5 * (f[0] + f[-1]))
+    def heights(self, u: np.ndarray):
+        """Level heights from the height parameters u.
 
-    def _piecewise(self, kh: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """Evaluate the piecewise-linear template (equal-width knots) at u."""
-        s = np.clip(u * self.n_pieces, 0.0, self.n_pieces - 1e-12)
-        k = s.astype(int)
-        return kh[k] + (s - k) * (kh[k + 1] - kh[k])
-
-    def knot_heights(self, lam: np.ndarray) -> np.ndarray | None:
-        if lam.size != self.slot_idx.size or np.any(lam <= 0):
-            return None
+        Also returns dh/du per slot and, per antimode, (level, capping
+        level, dh/dcap, tallest level, dh/dtallest) for the reverse pass.
+        """
+        u = np.clip(u, -_U_CLIP, _U_CLIP)
+        inside = np.abs(u) < _U_CLIP
         heights = self.base_heights.copy()
-        heights[self.slot_idx] = lam
-        kh = heights[self.level_of_knot]
-        d = np.diff(kh) * self.direction
-        if np.any(d[self.nonflat] <= 0):
-            return None
-        return kh
+        dh_du = np.zeros(u.size)
+        for k, i in self.modes:
+            heights[i] = math.exp(u[k])
+            dh_du[k] = heights[i] * inside[k]
+        top = int(np.argmax(heights))  # antimodes are not set yet
+        links = []
+        for k, i, neighbors in self.antimodes:
+            cap = min(neighbors, key=heights.__getitem__)
+            sig = 1.0 / (1.0 + math.exp(-u[k]))
+            gap = self.rel_gap * heights[top]
+            if gap < 0.5 * heights[cap]:
+                heights[i] = sig * (heights[cap] - gap)
+                links.append((i, cap, sig, top, -sig * self.rel_gap))
+            else:
+                heights[i] = 0.5 * sig * heights[cap]
+                links.append((i, cap, 0.5 * sig, top, 0.0))
+            dh_du[k] = heights[i] * (1.0 - sig) * inside[k]
+        return heights, dh_du, links
 
-    def loglik(self, c: np.ndarray, lam: np.ndarray) -> float:
-        kh = self.knot_heights(np.atleast_1d(np.asarray(lam, float)))
-        if kh is None:
-            return -math.inf
-        if np.any(c):
-            v = c @ self.b
-            vsq = v * v
-            nrm = math.sqrt(max(self._trapz(vsq), 0.0))
-        else:
-            nrm = 0.0
-        if nrm >= _THETA_FLOOR:
-            q = math.cos(nrm) + (math.sin(nrm) / nrm) * v
-            qsq = q * q
-            gamma = np.empty_like(q)
-            gamma[0] = 0.0
-            np.cumsum((qsq[1:] + qsq[:-1]) * (0.5 * self.h), out=gamma[1:])
-            gamma /= gamma[-1]
-            gamma_z = gamma[self.z_lo] * (1.0 - self.z_frac) + gamma[
-                self.z_lo + 1
-            ] * self.z_frac
-            warped = self._piecewise(kh, gamma)
-        else:
-            gamma_z = self.z
-            warped = self._piecewise(kh, self.t)
-        gz = self._piecewise(kh, gamma_z)
-        norm = self._trapz(warped)
-        if norm <= 0 or np.any(gz <= 0):
-            return -math.inf
-        logs = np.log(gz) - math.log(norm)
-        if self.weights is None:
-            return float(np.sum(logs))
-        return float(self.z.size * np.sum(self.weights * logs))
+    def split(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The feasible (c, lambda) that theta stands for."""
+        c = np.asarray(theta[: self.j], float)
+        nrm = float(np.linalg.norm(c))
+        if nrm > COEFF_RADIUS:
+            c = c * (_PROJECTED_RADIUS / nrm)
+        heights = self.heights(np.asarray(theta[self.j :], float))[0]
+        return c, heights[self.slot_levels]
+
+    def _template(self, kh: np.ndarray, x: np.ndarray):
+        """Piecewise-linear template (equal-width knots) at x: the piece
+        index, the position within it, d(template)/dx and the value."""
+        s = np.clip(x * self.n_pieces, 0.0, self.n_pieces - 1e-12)
+        k = s.astype(int)
+        r = s - k
+        rise = kh[k + 1] - kh[k]
+        return k, r, self.n_pieces * rise, kh[k] + r * rise
+
+    def value_and_grad(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
+        """(-loglik, -d loglik / d theta); (inf, 0) off the feasible set."""
+        j = self.j
+        c_raw = theta[:j]
+        c_len = float(np.linalg.norm(c_raw))
+        projected = c_len > COEFF_RADIUS
+        c = c_raw * (_PROJECTED_RADIUS / c_len) if projected else c_raw
+        heights, dh_du, links = self.heights(theta[j:])
+        kh = heights[self.level_of_knot]
+        if np.any(np.diff(kh)[self.nonflat] * self.direction <= 0):
+            return math.inf, np.zeros_like(theta)
+
+        # forward: v = c B, exp map, gamma = cumulative trapezoid of q^2
+        v = c @ self.b
+        nrm = math.sqrt(max(float(self.trap @ (v * v)), 0.0))
+        curved = nrm >= _THETA_FLOOR
+        sinc = math.sin(nrm) / nrm if curved else 1.0
+        q = (math.cos(nrm) if curved else 1.0) + sinc * v
+        qsq = q * q
+        cum = np.empty_like(q)
+        cum[0] = 0.0
+        np.cumsum((qsq[1:] + qsq[:-1]) * (0.5 * self.h), out=cum[1:])
+        total = cum[-1]
+        gamma = cum / total
+        lo, f = self.z_lo, self.z_frac
+        gamma_z = gamma[lo] * (1.0 - f) + gamma[lo + 1] * f
+        kz, rz, dz, gz = self._template(kh, gamma_z)
+        kg, rg, dg, warped = self._template(kh, gamma)
+        norm = float(self.trap @ warped)  # heights, hence gz and norm, are > 0
+        ll = float(self.wt @ np.log(gz)) - self.wt_sum * math.log(norm)
+
+        # reverse: template heights, then gamma back through the warp
+        gz_bar = self.wt / gz
+        warped_bar = (-self.wt_sum / norm) * self.trap
+        m = kh.size
+        kh_bar = (
+            np.bincount(kz, gz_bar * (1.0 - rz), m)
+            + np.bincount(kz + 1, gz_bar * rz, m)
+            + np.bincount(kg, warped_bar * (1.0 - rg), m)
+            + np.bincount(kg + 1, warped_bar * rg, m)
+        )
+        h_bar = np.bincount(self.level_of_knot, kh_bar, heights.size)
+        for i, cap, dh_dcap, top, dh_dtop in links:
+            h_bar[cap] += h_bar[i] * dh_dcap
+            h_bar[top] += h_bar[i] * dh_dtop
+        u_bar = h_bar[self.slot_levels] * dh_du
+
+        gz_pos_bar = gz_bar * dz
+        n = gamma.size
+        gamma_bar = (
+            warped_bar * dg
+            + np.bincount(lo, gz_pos_bar * (1.0 - f), n)
+            + np.bincount(lo + 1, gz_pos_bar * f, n)
+        )
+        cum_bar = gamma_bar / total
+        cum_bar[-1] -= float(gamma_bar @ gamma) / total
+        seg_bar = np.cumsum(cum_bar[:0:-1])[::-1] * (0.5 * self.h)
+        qsq_bar = np.zeros(n)
+        qsq_bar[:-1] = seg_bar
+        qsq_bar[1:] += seg_bar
+        q_bar = 2.0 * q * qsq_bar
+        v_bar = sinc * q_bar
+        if curved:
+            nrm_bar = -math.sin(nrm) * float(q_bar.sum()) + (
+                (math.cos(nrm) - sinc) / nrm
+            ) * float(q_bar @ v)
+            v_bar += (nrm_bar / nrm) * self.trap * v
+        c_bar = self.b @ v_bar
+        if projected:
+            unit = c_raw / c_len
+            c_bar = (_PROJECTED_RADIUS / c_len) * (c_bar - unit * float(unit @ c_bar))
+        return -ll, -np.concatenate((c_bar, u_bar))
 
 
 def _log_likelihood_arrays(
@@ -343,19 +380,19 @@ def _estimate_density(
     return GridDensity.from_values(tmpl.t, values)
 
 
-def _random_start(pmap: _ParamMap, rng: np.random.Generator) -> np.ndarray:
-    theta = np.zeros(pmap.n_params)
-    direction = rng.standard_normal(pmap.j)
+def _random_start(obj: _Objective, rng: np.random.Generator) -> np.ndarray:
+    theta = np.zeros(obj.n_params)
+    direction = rng.standard_normal(obj.j)
     direction /= max(np.linalg.norm(direction), 1e-12)
-    radius = (math.pi / 2.0) * rng.uniform() ** (1.0 / pmap.j)
-    theta[: pmap.j] = radius * direction
-    for k, (_, role) in enumerate(pmap.slots):
+    radius = (math.pi / 2.0) * rng.uniform() ** (1.0 / obj.j)
+    theta[: obj.j] = radius * direction
+    for k, (_, role) in enumerate(obj.slots):
         frac = math.exp(rng.uniform(math.log(0.1), 0.0))  # log-uniform(0.1, 1)
         if role == "high":
-            theta[pmap.j + k] = math.log(0.5 + frac)
+            theta[obj.j + k] = math.log(0.5 + frac)
         else:
             s = min(frac, 1.0 - 1e-9)
-            theta[pmap.j + k] = math.log(s / (1.0 - s))
+            theta[obj.j + k] = math.log(s / (1.0 - s))
     return theta
 
 
@@ -366,38 +403,29 @@ def fit_fixed_j(
     seed: int,
     weights: np.ndarray | None = None,
 ) -> tuple[CoefficientVector, np.ndarray, float]:
-    """Best local optimum across multi-start Nelder-Mead runs.
+    """Best local optimum across multi-start L-BFGS-B runs.
 
-    Start 0 is deterministic (identity warp, midpoint-feasible heights);
-    the remaining starts draw from seeded per-restart streams.  Ties in
-    the objective resolve to the earliest restart.
+    Each run follows the analytic likelihood gradient.  Start 0 is
+    deterministic (identity warp, midpoint-feasible heights); the remaining
+    starts draw from seeded per-restart streams.  Ties in the objective
+    resolve to the earliest restart.
     """
     z = np.asarray(z, float)
     obj = _Objective(z, cfg.shape, cfg.omega, j, cfg.n_grid, weights)
-    pmap = obj.pmap
 
-    def objective(theta: np.ndarray) -> float:
-        c, lam = pmap.split(theta)
-        ll = obj.loglik(c, lam)
-        return -ll if math.isfinite(ll) else math.inf
-
-    starts = [np.zeros(pmap.n_params)]
+    starts = [np.zeros(obj.n_params)]
     for r in range(1, cfg.restarts + 1):
         rng = np.random.default_rng([seed, r])
-        starts.append(_random_start(pmap, rng))
+        starts.append(_random_start(obj, rng))
 
     best = None
     for r, theta0 in enumerate(starts):
         res = minimize(
-            objective,
+            obj.value_and_grad,
             theta0,
-            method="Nelder-Mead",
-            options={
-                "maxiter": cfg.maxiter,
-                "xatol": 1e-4,
-                "fatol": 1e-6,
-                "adaptive": True,
-            },
+            jac=True,
+            method="L-BFGS-B",
+            options={"maxiter": cfg.maxiter},
         )
         if not math.isfinite(res.fun):
             continue
@@ -406,18 +434,22 @@ def fit_fixed_j(
     if best is None:
         raise OptimizationError(f"all {len(starts)} starts failed at J={j}")
 
-    c, lam = pmap.split(best[1])
+    c, lam = obj.split(best[1])
     # shape guarantee: shrink the warp until the grid density shows the
-    # requested critical structure (c = 0 always does)
+    # requested critical structure
     n_modes = cfg.shape.n_modes
     scale = 1.0
     while count_modes(
         _estimate_density(c * scale, lam, cfg.shape, cfg.omega, cfg.n_grid)
     ) != n_modes:
+        if scale == 0.0:
+            raise OptimizationError(
+                f"J={j}: the unwarped template at lambda={lam} does not show "
+                f"{n_modes} modes on the grid"
+            )
         scale *= 0.7
         if scale < 1e-8:
             scale = 0.0
-            break
     c = c * scale
     ll = _log_likelihood_arrays(z, c, lam, cfg.shape, cfg.omega, cfg.n_grid, weights)
     return CoefficientVector(c), lam, float(ll)
@@ -428,7 +460,11 @@ def fit(
     cfg: FitConfig,
     weights: np.ndarray | None = None,
 ) -> DensityEstimate:
-    """Full fit: support, rescaling, J sweep, AIC selection."""
+    """Full fit: support, rescaling, J sweep, AIC selection.
+
+    A J at which ``fit_fixed_j`` finds no candidate with the requested
+    shape drops out of the AIC comparison.
+    """
     x = np.asarray(x, float)
     if x.size < 10:
         raise DegenerateSampleError(f"need at least 10 observations, got {x.size}")
@@ -437,11 +473,16 @@ def fit(
 
     best = None
     for j in cfg.j_values():
-        c, lam, ll = fit_fixed_j(z, j, cfg, seed=cfg.seed, weights=weights)
+        try:
+            c, lam, ll = fit_fixed_j(z, j, cfg, seed=cfg.seed, weights=weights)
+        except OptimizationError:
+            continue  # no candidate with the requested shape at this J
         k = j + lam.size
         aic = 2.0 * k - 2.0 * ll
         if best is None or aic < best[0] - _AIC_TIE:
             best = (aic, j, c, lam, ll)
+    if best is None:
+        raise OptimizationError(f"no J in {cfg.j_values()} gave a fit")
     aic, j, c, lam, ll = best
     dens = _estimate_density(c.c, lam, cfg.shape, cfg.omega, cfg.n_grid)
     n_eff = None

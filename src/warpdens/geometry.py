@@ -10,7 +10,7 @@ coefficients -> warp) let a finite real vector parameterize a warp.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from warpdens import GridDensity, count_modes
-from warpdens.cli import main
+from warpdens.cli import _write_curve_csv, main
 
 
 def write_sample_csv(path, values, header=None):
@@ -81,6 +81,14 @@ class TestFitCommand:
     def test_missing_shape_flags(self, sample_csv, tmp_path):
         code = main(["fit", str(sample_csv), "-o", str(tmp_path / "x.json")])
         assert code == 64
+
+
+def test_failed_curve_write_leaves_no_temp_file(tmp_path):
+    target = tmp_path / "curve.csv"
+    target.mkdir()  # replacing a directory with a file fails
+    with pytest.raises(OSError):
+        _write_curve_csv(str(target), {"curve": [{"x": 0.0, "p": 1.0}]})
+    assert [p.name for p in tmp_path.iterdir()] == ["curve.csv"]
 
 
 class TestCfitCommand:

@@ -4,13 +4,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from warpdens import (
+    BENCHMARKS,
     CoefficientVector,
     ConstraintError,
     DegenerateSampleError,
     FitConfig,
     GridDensity,
+    OptimizationError,
     ShapeSpec,
     build_template,
     count_modes,
@@ -22,6 +26,9 @@ from warpdens import (
     template_density,
     unit_grid,
 )
+from warpdens import estimator
+from warpdens.estimator import _Objective, _estimate_density
+from warpdens.geometry import COEFF_RADIUS
 
 
 class TestSupport:
@@ -114,6 +121,91 @@ class TestLogLikelihood:
         assert ll_oracle > ll_id
 
 
+class TestConfigValidation:
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"n_grid": 4},
+            {"j_step": 0},
+            {"maxiter": 0},
+            {"omega": 2.0},
+            {"omega": 0.0},
+        ],
+    )
+    def test_rejected(self, change):
+        with pytest.raises(ConstraintError):
+            FitConfig(shape=ShapeSpec.modes(1), **change)
+
+
+GRADIENT_SHAPES = [
+    ShapeSpec.modes(1),
+    ShapeSpec.modes(2),
+    ShapeSpec.modes(3),
+    ShapeSpec(("dec",), free_boundaries=True),
+    ShapeSpec(("inc", "flat", "dec")),
+    ShapeSpec(("inc", "flat", "dec"), free_boundaries=True),
+]
+
+
+class TestObjective:
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        shape=st.sampled_from(GRADIENT_SHAPES),
+        j=st.integers(2, 10),
+        weighted=st.booleans(),
+        outside=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_gradient_matches_central_differences(
+        self, shape, j, weighted, outside, seed
+    ):
+        rng = np.random.default_rng(seed)
+        n = 200
+        z = rng.beta(2.0, 2.0, n)
+        w = rng.uniform(0.0, 1.0, n) if weighted else None
+        if w is not None:
+            w /= w.sum()
+        obj = _Objective(z, shape, 1e-3, j, 1024, w)
+        theta = np.empty(obj.n_params)
+        direction = rng.standard_normal(j)
+        direction /= np.linalg.norm(direction)
+        radius = rng.uniform(1.1, 2.0) if outside else rng.uniform(0.0, 0.9)
+        theta[:j] = radius * COEFF_RADIUS * direction
+        theta[j:] = rng.uniform(-6.0, 6.0, obj.n_params - j)
+
+        f, g = obj.value_and_grad(theta)
+        f2, g2 = obj.value_and_grad(theta.copy())
+        assert f == f2 and np.array_equal(g, g2)  # bit-for-bit repeatable
+        assert math.isfinite(f)
+
+        step = 1e-6
+        tol = 1e-4 * max(1.0, float(np.max(np.abs(g))))
+        for k in range(theta.size):
+            e = np.zeros_like(theta)
+            e[k] = step
+            fwd = (obj.value_and_grad(theta + e)[0] - f) / step
+            back = (f - obj.value_and_grad(theta - e)[0]) / step
+            if abs(fwd - back) <= tol:
+                assert abs(0.5 * (fwd + back) - g[k]) <= tol, k
+            else:
+                # the step moved a sample or grid point across a knot of the
+                # piecewise-linear template: the gradient is one of the sides
+                assert min(abs(fwd - g[k]), abs(back - g[k])) <= tol, k
+
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("u_mode", [-3.0, 0.0, 3.0, 6.0])
+    def test_saturated_antimodes_keep_mode_count(self, m, u_mode):
+        # sigmoid(50) rounds to 1; the antimode must still sit below its cap
+        shape = ShapeSpec.modes(m)
+        obj = _Objective(np.array([0.5]), shape, 1e-3, 2, 1024, None)
+        theta = np.zeros(obj.n_params)
+        for k, (_, role) in enumerate(obj.slots):
+            theta[2 + k] = 50.0 if role == "low" else u_mode
+        c, lam = obj.split(theta)
+        tmpl = build_template(shape, lam, omega=1e-3, n=1024)
+        assert count_modes(template_density(tmpl)) == m
+
+
 class TestFitFixedJ:
     def test_deterministic(self):
         rng = np.random.default_rng(2)
@@ -133,6 +225,29 @@ class TestFitFixedJ:
         _, _, ll = fit_fixed_j(z, 4, cfg, seed=1)
         ll0 = log_likelihood(z, CoefficientVector(np.zeros(4)), np.empty(0), cfg)
         assert ll >= ll0
+
+    def test_every_j_keeps_requested_modes(self):
+        # bimodal benchmark data on which an antimode used to reach its cap
+        spec = BENCHMARKS["bimodal"]
+        rng = np.random.default_rng([1, 0, 0])
+        seed = int(rng.integers(2**31))
+        x = spec.true_density.sample(1000, rng)
+        cfg = FitConfig(
+            shape=spec.shape, restarts=spec.restarts, j_max=spec.j_max, seed=seed
+        )
+        z = rescale_to_unit(x, *estimate_support(x))
+        for j in cfg.j_values():
+            c, lam, ll = fit_fixed_j(z, j, cfg, seed=seed)
+            dens = _estimate_density(c.c, lam, cfg.shape, cfg.omega, cfg.n_grid)
+            assert count_modes(dens) == 2, f"J={j}, lambda={lam}"
+            assert math.isfinite(ll)
+
+    def test_wrong_shape_at_zero_warp_raises(self, monkeypatch):
+        monkeypatch.setattr(estimator, "count_modes", lambda p: 0)
+        z = np.sort(np.random.default_rng(4).beta(2, 4, 200))
+        cfg = FitConfig(shape=ShapeSpec.modes(1), restarts=1)
+        with pytest.raises(OptimizationError):
+            fit_fixed_j(z, 2, cfg, seed=0)
 
     def test_self_consistency_on_template_data(self):
         # sample from the M=1 template itself; J=2 fit recovers it closely
@@ -188,6 +303,21 @@ class TestFit:
         cfg = FitConfig(shape=ShapeSpec.modes(1), restarts=2, seed=4)
         est = fit(z, cfg)
         assert est.j in cfg.j_values()
+
+    def test_j_without_candidate_drops_out(self, monkeypatch):
+        real = estimator.fit_fixed_j
+
+        def fail_at_2(z, j, cfg, seed, weights=None):
+            if j == 2:
+                raise OptimizationError("no candidate")
+            return real(z, j, cfg, seed, weights)
+
+        monkeypatch.setattr(estimator, "fit_fixed_j", fail_at_2)
+        z = np.sort(np.random.default_rng(8).beta(2, 2, 150))
+        cfg = FitConfig(shape=ShapeSpec.modes(1), restarts=1, j_max=4)
+        assert fit(z, cfg).j == 4
+        with pytest.raises(OptimizationError):
+            fit(z, FitConfig(shape=ShapeSpec.modes(1), restarts=1, j_max=2))
 
     def test_small_sample_rejected(self):
         with pytest.raises(DegenerateSampleError):
