@@ -4,13 +4,14 @@ Subcommands: fit (CSV sample -> density JSON), cfit (two-column CSV ->
 conditional density JSON), bench (named benchmark -> CSV + JSON),
 oracle (named analytic density -> constructive warp reconstruction).
 
-Exit codes: 0 ok, 2 input error, 3 optimization failure, 4 domain or
-shape error, 64 usage error.
+Exit codes: 0 ok, 2 input or output error, 3 optimization failure,
+4 domain or shape error, 64 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -95,11 +96,15 @@ def _parse_shape(args) -> ShapeSpec:
     return ShapeSpec.modes(args.modes)
 
 
+def _parse_support(text: str) -> tuple[float, float]:
+    try:
+        a, b = (float(v) for v in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected A,B, got {text!r}") from None
+    return a, b
+
+
 def _fit_config(args, shape: ShapeSpec) -> FitConfig:
-    support = None
-    if args.support is not None:
-        a, b = (float(v) for v in args.support.split(","))
-        support = (a, b)
     return FitConfig(
         shape=shape,
         j_min=args.jmin,
@@ -108,7 +113,7 @@ def _fit_config(args, shape: ShapeSpec) -> FitConfig:
         restarts=args.restarts,
         n_grid=args.grid,
         seed=args.seed,
-        support=support,
+        support=args.support,
     )
 
 
@@ -181,14 +186,11 @@ def cmd_bench(args) -> int:
             file=sys.stderr,
         )
         return EXIT_USAGE
-    spec = bench_mod.BENCHMARKS[args.name]
-    import dataclasses
-
-    spec = dataclasses.replace(spec, replicates=args.reps, seed=args.seed)
-    n = args.n if args.n is not None else spec.sample_sizes[0]
-    summary = bench_mod.run_benchmark(
-        spec, n, out_dir=args.out_dir, workers=args.workers
+    spec = dataclasses.replace(
+        bench_mod.BENCHMARKS[args.name], replicates=args.reps, seed=args.seed
     )
+    n = args.n if args.n is not None else spec.sample_sizes[0]
+    summary = bench_mod.run_benchmark(spec, n, out_dir=args.out_dir)
     print(
         f"{summary.name} n={summary.n}: "
         + " ".join(f"{k}={v:.4f}" for k, v in summary.mean.items())
@@ -251,7 +253,7 @@ def _add_fit_flags(p: _Parser) -> None:
     p.add_argument("--restarts", type=int, default=16)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--grid", type=int, default=1024)
-    p.add_argument("--support", type=str, default=None, help="A,B")
+    p.add_argument("--support", type=_parse_support, default=None, help="A,B")
     p.add_argument("--curve-csv", type=str, default=None)
 
 
@@ -278,7 +280,6 @@ def build_parser() -> _Parser:
     p_bench.add_argument("--n", type=int, default=None)
     p_bench.add_argument("--reps", type=int, default=20)
     p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument("--workers", type=int, default=1)
     p_bench.add_argument("--out-dir", type=str, default=None)
     p_bench.set_defaults(func=cmd_bench)
 
@@ -299,7 +300,7 @@ def main(argv=None) -> int:
         return exc.code if exc.code is not None else EXIT_USAGE
     try:
         return args.func(args)
-    except DegenerateSampleError as exc:
+    except (DegenerateSampleError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except OptimizationError as exc:

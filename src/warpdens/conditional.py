@@ -88,6 +88,8 @@ def fit_conditional(
         raise DegenerateSampleError("covariates and responses differ in length")
     if x.size < 20:
         raise DegenerateSampleError(f"need at least 20 pairs, got {x.size}")
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise DegenerateSampleError("covariates and responses must be finite")
 
     if cfg.bandwidth is not None:
         h_x0 = cfg.bandwidth

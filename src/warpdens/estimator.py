@@ -468,6 +468,8 @@ def fit(
     x = np.asarray(x, float)
     if x.size < 10:
         raise DegenerateSampleError(f"need at least 10 observations, got {x.size}")
+    if not np.all(np.isfinite(x)):
+        raise DegenerateSampleError("samples must be finite (no NaN or inf)")
     support = cfg.support if cfg.support is not None else estimate_support(x)
     z = rescale_to_unit(x, *support)
 

@@ -4,10 +4,19 @@ import csv
 import dataclasses
 import json
 import math
+import threading
 
 import numpy as np
+import pytest
 
-from warpdens import BENCHMARKS, error_norms, run_benchmark
+from warpdens import (
+    BENCHMARKS,
+    DomainError,
+    OptimizationError,
+    bench,
+    error_norms,
+    run_benchmark,
+)
 from warpdens.bench import Trapezoid, _run_replicate, normal_mixture, write_outputs
 
 
@@ -105,6 +114,45 @@ class TestRunBenchmark:
         a = run_benchmark(spec, 60, workers=1)
         b = run_benchmark(spec, 60, workers=3)
         assert strip_wall(a.records) == strip_wall(b.records)
+
+    def test_replicates_run_in_calling_thread(self, monkeypatch):
+        threads = []
+        real = bench._run_replicate
+
+        def record_thread(*args):
+            threads.append(threading.current_thread())
+            return real(*args)
+
+        monkeypatch.setattr(bench, "_run_replicate", record_thread)
+        run_benchmark(small_spec(), 60, workers=3)
+        assert threads == [threading.current_thread()] * 2
+
+    def test_failed_replicate_is_recorded(self, monkeypatch, tmp_path):
+        real = bench.fit
+        calls = []
+
+        def fail_first(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 1:
+                raise OptimizationError("injected")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(bench, "fit", fail_first)
+        summary = run_benchmark(small_spec(), 60, out_dir=str(tmp_path))
+        assert summary.failures == 1
+        assert summary.failed == ((0, "OptimizationError"),)
+        assert [r.replicate for r in summary.records] == [1]
+        with open(tmp_path / "symmetric-unimodal-n60-summary.json") as fh:
+            payload = json.load(fh)
+        assert payload["failed"] == [{"replicate": 0, "error": "OptimizationError"}]
+
+    def test_every_replicate_failed_raises(self, monkeypatch):
+        def always_fail(*args, **kwargs):
+            raise OptimizationError("injected")
+
+        monkeypatch.setattr(bench, "fit", always_fail)
+        with pytest.raises(DomainError, match=r"every replicate failed \(Optim"):
+            run_benchmark(small_spec(), 60)
 
     def test_single_replicate_zero_sd(self):
         summary = run_benchmark(small_spec(replicates=1), 60)

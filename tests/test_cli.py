@@ -82,6 +82,31 @@ class TestFitCommand:
         code = main(["fit", str(sample_csv), "-o", str(tmp_path / "x.json")])
         assert code == 64
 
+    def test_support_with_three_values_exit_64(self, sample_csv, tmp_path, capsys):
+        code = main(
+            [
+                "fit", str(sample_csv), "-o", str(tmp_path / "x.json"),
+                "--modes", "1", "--support", "1,2,3",
+            ]
+        )
+        assert code == 64
+        assert "error: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("curve", [False, True], ids=["output", "curve-csv"])
+    def test_unwritable_output_exit_2(self, curve, sample_csv, tmp_path, capsys):
+        bad = str(tmp_path / "missing" / "out")
+        out = str(tmp_path / "fit.json") if curve else bad
+        extra = ["--curve-csv", bad] if curve else []
+        code = main(
+            ["fit", str(sample_csv), "-o", out, *extra]
+            + ["--modes", "1", "--restarts", "1", "--jmax", "2"]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and bad in err
+        left = sorted(p.name for p in tmp_path.iterdir())
+        assert left == (["fit.json", "sample.csv"] if curve else ["sample.csv"])
+
 
 def test_failed_curve_write_leaves_no_temp_file(tmp_path):
     target = tmp_path / "curve.csv"
@@ -146,6 +171,23 @@ class TestBenchCommand:
     def test_unknown_name_exit_64(self, capsys):
         assert main(["bench", "no-such-benchmark"]) == 64
         assert "valid names" in capsys.readouterr().err
+
+    def test_unknown_workers_flag_exit_64(self):
+        assert main(["bench", "list", "--workers", "2"]) == 64
+
+    def test_unwritable_out_dir_exit_2(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code = main(
+            [
+                "bench", "symmetric-unimodal", "--n", "60", "--reps", "1",
+                "--out-dir", str(blocker / "out"),
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(blocker / "out") in err
+        assert [p.name for p in tmp_path.iterdir()] == ["file"]
 
     def test_small_run_writes_outputs(self, tmp_path, capsys):
         code = main(

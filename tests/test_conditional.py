@@ -167,3 +167,15 @@ class TestFitConditional:
         )
         with pytest.raises(DegenerateSampleError):
             fit_conditional(np.arange(5.0), np.arange(5.0), cfg)
+
+    @pytest.mark.parametrize("column", ["x", "y"])
+    def test_non_finite_pair_rejected(self, column):
+        rng = np.random.default_rng(12)
+        data = {"x": rng.normal(0, 1, 60), "y": rng.normal(0, 1, 60)}
+        # the pair nearest x0 always keeps weight
+        data[column][np.argmin(np.abs(data["x"]))] = np.nan
+        cfg = ConditionalFitConfig(
+            base=FitConfig(shape=ShapeSpec.modes(1)), x0=0.0
+        )
+        with pytest.raises(DegenerateSampleError, match="finite"):
+            fit_conditional(data["x"], data["y"], cfg)

@@ -323,6 +323,18 @@ class TestFit:
         with pytest.raises(DegenerateSampleError):
             fit(np.array([0.1, 0.2, 0.3]), FitConfig(shape=ShapeSpec.modes(1)))
 
+    @pytest.mark.parametrize(
+        "bad, support",
+        [(np.nan, None), (np.nan, (-5.0, 5.0)), (np.inf, None)],
+        ids=["nan", "nan-with-support", "inf"],
+    )
+    def test_non_finite_sample_rejected(self, bad, support):
+        x = np.random.default_rng(11).normal(0, 1, 50)
+        x[3] = bad
+        cfg = FitConfig(shape=ShapeSpec.modes(1), support=support)
+        with pytest.raises(DegenerateSampleError, match="finite"):
+            fit(x, cfg)
+
     def test_bimodal_recovery(self):
         rng = np.random.default_rng(9)
         x = np.concatenate([rng.normal(-1, 1.0, 150), rng.normal(1, 0.55, 300)])
