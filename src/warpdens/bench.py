@@ -325,6 +325,8 @@ def run_benchmark(
     ran replicates about 3x slower, as the fit's small numpy calls
     contend for the interpreter lock.
     """
+    if out_dir is not None:
+        os.makedirs(out_dir, exist_ok=True)  # fail before any replicate runs
     ok: list[ReplicateRecord] = []
     failed: list[tuple[int, str]] = []
     for r in range(spec.replicates):

@@ -253,7 +253,10 @@ def _add_fit_flags(p: _Parser) -> None:
     p.add_argument("--restarts", type=int, default=16)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--grid", type=int, default=1024)
-    p.add_argument("--support", type=_parse_support, default=None, help="A,B")
+    p.add_argument(
+        "--support", type=_parse_support, default=None, metavar="A,B",
+        help="fixed support; write --support=A,B when A is negative",
+    )
     p.add_argument("--curve-csv", type=str, default=None)
 
 

@@ -27,9 +27,8 @@ from .geometry import (
     DEFAULT_GRID_SIZE,
     _THETA_FLOOR,
     CoefficientVector,
-    coeffs_to_warp,
+    coeffs_to_warp,  # noqa: F401  unused; the traced benchmark wraps this name
     fourier_basis,
-    unit_grid,
 )
 from .templates import (
     MODE_TOL,
@@ -131,17 +130,24 @@ def rescale_to_unit(x: np.ndarray, a: float, b: float) -> np.ndarray:
 
 
 class _Objective:
-    """Negative log-likelihood and its analytic gradient in search coordinates.
+    """The likelihood kernel, and its gradient in search coordinates.
 
-    theta = (c, u).  The coefficient vector c is pulled back onto the
-    feasible ball by radial projection when it leaves it.  Mode heights
-    enter as exp(u) (the first mode stays pinned at 1).  Each antimode is
-    sigmoid(u) * (cap - gap), where cap is the lower of its neighboring
-    mode heights and gap is _VISIBLE times the smallest rise over one piece
-    that ``count_modes`` resolves on the grid, relative to the tallest mode
-    (at most cap / 2).  Every search point thus satisfies the height-ratio
+    ``forward`` maps a feasible (c, knot heights) to the log-likelihood
+    and the normalized grid density: v = c B, the sphere exponential map,
+    gamma as the cumulative trapezoid integral of q^2, the template at the
+    samples and on the grid, and the trapezoid normalizer.  Every
+    likelihood and density this module reports or checks comes from it,
+    so the reported likelihood is the function L-BFGS-B maximized.
+
+    ``value_and_grad`` adds the reverse pass in theta = (c, u).  The
+    coefficient vector c is pulled back onto the feasible ball by radial
+    projection when it leaves it.  Mode heights enter as exp(u) (the
+    first mode stays pinned at 1).  Each antimode is sigmoid(u) * (cap -
+    gap), where cap is the lower of its neighboring mode heights and gap
+    is _VISIBLE times the smallest rise over one piece that
+    ``count_modes`` resolves on the grid, relative to the tallest mode (at
+    most cap / 2).  Every search point thus satisfies the height-ratio
     inequalities, and a saturated antimode stays visible on the grid.
-    The reported likelihood is recomputed through the public path.
     """
 
     def __init__(
@@ -155,7 +161,8 @@ class _Objective:
     ):
         self.j = j
         self.h = 1.0 / (n_grid - 1)
-        self.b = fourier_basis(j, n_grid).b
+        basis = fourier_basis(j, n_grid)
+        self.t, self.b = basis.t, basis.b
         self.trap = np.full(n_grid, self.h)  # trapezoid quadrature weights
         self.trap[[0, -1]] *= 0.5
         self.n_pieces = shape.n_pieces
@@ -226,14 +233,12 @@ class _Objective:
             dh_du[k] = heights[i] * (1.0 - sig) * inside[k]
         return heights, dh_du, links
 
-    def split(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The feasible (c, lambda) that theta stands for."""
-        c = np.asarray(theta[: self.j], float)
-        nrm = float(np.linalg.norm(c))
-        if nrm > COEFF_RADIUS:
-            c = c * (_PROJECTED_RADIUS / nrm)
-        heights = self.heights(np.asarray(theta[self.j :], float))[0]
-        return c, heights[self.slot_levels]
+    def project(self, c: np.ndarray) -> tuple[np.ndarray, float]:
+        """Radial projection of c onto the feasible ball, and the length of c."""
+        c_len = float(np.linalg.norm(c))
+        if c_len > COEFF_RADIUS:
+            return c * (_PROJECTED_RADIUS / c_len), c_len
+        return c, c_len
 
     def _template(self, kh: np.ndarray, x: np.ndarray):
         """Piecewise-linear template (equal-width knots) at x: the piece
@@ -244,19 +249,9 @@ class _Objective:
         rise = kh[k + 1] - kh[k]
         return k, r, self.n_pieces * rise, kh[k] + r * rise
 
-    def value_and_grad(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
-        """(-loglik, -d loglik / d theta); (inf, 0) off the feasible set."""
-        j = self.j
-        c_raw = theta[:j]
-        c_len = float(np.linalg.norm(c_raw))
-        projected = c_len > COEFF_RADIUS
-        c = c_raw * (_PROJECTED_RADIUS / c_len) if projected else c_raw
-        heights, dh_du, links = self.heights(theta[j:])
-        kh = heights[self.level_of_knot]
-        if np.any(np.diff(kh)[self.nonflat] * self.direction <= 0):
-            return math.inf, np.zeros_like(theta)
-
-        # forward: v = c B, exp map, gamma = cumulative trapezoid of q^2
+    def forward(self, c: np.ndarray, kh: np.ndarray):
+        """(loglik, normalized grid density, tape) at a feasible (c, knot
+        heights); the tape holds what the reverse pass reuses."""
         v = c @ self.b
         nrm = math.sqrt(max(float(self.trap @ (v * v)), 0.0))
         curved = nrm >= _THETA_FLOOR
@@ -274,6 +269,19 @@ class _Objective:
         kg, rg, dg, warped = self._template(kh, gamma)
         norm = float(self.trap @ warped)  # heights, hence gz and norm, are > 0
         ll = float(self.wt @ np.log(gz)) - self.wt_sum * math.log(norm)
+        tape = (v, nrm, sinc, q, total, gamma, kz, rz, dz, gz, kg, rg, dg, norm)
+        return ll, warped / norm, tape
+
+    def value_and_grad(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
+        """(-loglik, -d loglik / d theta); (inf, 0) off the feasible set."""
+        j = self.j
+        c, c_len = self.project(theta[:j])
+        heights, dh_du, links = self.heights(theta[j:])
+        kh = heights[self.level_of_knot]
+        if np.any(np.diff(kh)[self.nonflat] * self.direction <= 0):
+            return math.inf, np.zeros_like(theta)
+        ll, _, tape = self.forward(c, kh)
+        v, nrm, sinc, q, total, gamma, kz, rz, dz, gz, kg, rg, dg, norm = tape
 
         # reverse: template heights, then gamma back through the warp
         gz_bar = self.wt / gz
@@ -293,6 +301,7 @@ class _Objective:
 
         gz_pos_bar = gz_bar * dz
         n = gamma.size
+        lo, f = self.z_lo, self.z_frac
         gamma_bar = (
             warped_bar * dg
             + np.bincount(lo, gz_pos_bar * (1.0 - f), n)
@@ -306,45 +315,33 @@ class _Objective:
         qsq_bar[1:] += seg_bar
         q_bar = 2.0 * q * qsq_bar
         v_bar = sinc * q_bar
-        if curved:
+        if nrm >= _THETA_FLOOR:
             nrm_bar = -math.sin(nrm) * float(q_bar.sum()) + (
                 (math.cos(nrm) - sinc) / nrm
             ) * float(q_bar @ v)
             v_bar += (nrm_bar / nrm) * self.trap * v
         c_bar = self.b @ v_bar
-        if projected:
-            unit = c_raw / c_len
+        if c_len > COEFF_RADIUS:
+            unit = theta[:j] / c_len
             c_bar = (_PROJECTED_RADIUS / c_len) * (c_bar - unit * float(unit @ c_bar))
         return -ll, -np.concatenate((c_bar, u_bar))
 
 
-def _log_likelihood_arrays(
+def _kernel(
     z: np.ndarray,
     c: np.ndarray,
     lam: np.ndarray,
-    shape: ShapeSpec,
-    omega: float,
-    n_grid: int,
+    cfg: FitConfig,
     weights: np.ndarray | None,
-) -> float:
-    """Reference likelihood through the validated public operations."""
-    z = np.asarray(z, float)
-    tmpl = build_template(shape, lam, omega=omega, n=n_grid)
-    if np.any(c):
-        warp = coeffs_to_warp(CoefficientVector(c), fourier_basis(len(c), n_grid))
-        gamma_z = np.interp(z, warp.t, warp.gamma)
-        warped = np.interp(warp.gamma, tmpl.knots, tmpl.knot_heights)
-    else:
-        gamma_z = z
-        warped = tmpl.g
-    gz = np.interp(gamma_z, tmpl.knots, tmpl.knot_heights)
-    norm = float(np.trapezoid(warped, tmpl.t))
-    if norm <= 0 or np.any(gz <= 0):
-        return -math.inf
-    logs = np.log(gz) - math.log(norm)
-    if weights is None:
-        return float(np.sum(logs))
-    return float(z.size * np.sum(weights * logs))
+) -> tuple[float, GridDensity]:
+    """(loglik, grid density) of the likelihood kernel at (c, lambda).
+
+    ``build_template`` rejects an infeasible lambda with ConstraintError.
+    """
+    kh = build_template(cfg.shape, lam, omega=cfg.omega, n=cfg.n_grid).knot_heights
+    obj = _Objective(z, cfg.shape, cfg.omega, c.size, cfg.n_grid, weights)
+    ll, p, _ = obj.forward(c, kh)
+    return ll, GridDensity(obj.t.copy(), p)  # obj.t is the cached basis grid
 
 
 def log_likelihood(
@@ -356,28 +353,15 @@ def log_likelihood(
 ) -> float:
     """Log-likelihood of unit-interval samples under the warped template.
 
-    With ``weights`` (summing to 1) the weighted form n * sum(w_i log p_i)
-    is used, which reduces to the plain sum for uniform weights.
+    This is the function the fit maximizes, with gamma integrated by the
+    cumulative trapezoid rule.  With ``weights`` (summing to 1) the
+    weighted form n * sum(w_i log p_i) is used, which reduces to the plain
+    sum for uniform weights.
     """
     cc = np.asarray(c.c, float)
     if np.linalg.norm(cc) > COEFF_RADIUS + 1e-9:
         raise ConstraintError("coefficient vector outside the feasible ball")
-    return _log_likelihood_arrays(
-        np.asarray(z, float), cc, np.asarray(lam, float),
-        cfg.shape, cfg.omega, cfg.n_grid, weights,
-    )
-
-
-def _estimate_density(
-    c: np.ndarray, lam: np.ndarray, shape: ShapeSpec, omega: float, n_grid: int
-) -> GridDensity:
-    tmpl = build_template(shape, lam, omega=omega, n=n_grid)
-    if np.any(c):
-        warp = coeffs_to_warp(CoefficientVector(c), fourier_basis(len(c), n_grid))
-        values = np.interp(warp.gamma, tmpl.knots, tmpl.knot_heights)
-    else:
-        values = tmpl.g
-    return GridDensity.from_values(tmpl.t, values)
+    return _kernel(np.asarray(z, float), cc, lam, cfg, weights)[0]
 
 
 def _random_start(obj: _Objective, rng: np.random.Generator) -> np.ndarray:
@@ -434,14 +418,18 @@ def fit_fixed_j(
     if best is None:
         raise OptimizationError(f"all {len(starts)} starts failed at J={j}")
 
-    c, lam = obj.split(best[1])
+    theta = best[1]
+    c = obj.project(theta[:j])[0]
+    heights = obj.heights(theta[j:])[0]
+    lam, kh = heights[obj.slot_levels], heights[obj.level_of_knot]
     # shape guarantee: shrink the warp until the grid density shows the
     # requested critical structure
     n_modes = cfg.shape.n_modes
     scale = 1.0
-    while count_modes(
-        _estimate_density(c * scale, lam, cfg.shape, cfg.omega, cfg.n_grid)
-    ) != n_modes:
+    while True:
+        ll, p = obj.forward(c * scale, kh)[:2]
+        if count_modes(GridDensity(obj.t, p)) == n_modes:
+            return CoefficientVector(c * scale), lam, ll
         if scale == 0.0:
             raise OptimizationError(
                 f"J={j}: the unwarped template at lambda={lam} does not show "
@@ -450,9 +438,6 @@ def fit_fixed_j(
         scale *= 0.7
         if scale < 1e-8:
             scale = 0.0
-    c = c * scale
-    ll = _log_likelihood_arrays(z, c, lam, cfg.shape, cfg.omega, cfg.n_grid, weights)
-    return CoefficientVector(c), lam, float(ll)
 
 
 def fit(
@@ -486,7 +471,7 @@ def fit(
     if best is None:
         raise OptimizationError(f"no J in {cfg.j_values()} gave a fit")
     aic, j, c, lam, ll = best
-    dens = _estimate_density(c.c, lam, cfg.shape, cfg.omega, cfg.n_grid)
+    dens = _kernel(z, c.c, lam, cfg, weights)[1]
     n_eff = None
     if weights is not None:
         n_eff = float(1.0 / np.sum(weights**2))

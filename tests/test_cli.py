@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from warpdens import GridDensity, count_modes
+from warpdens import GridDensity, bench, count_modes
 from warpdens.cli import _write_curve_csv, main
 
 
@@ -92,6 +92,17 @@ class TestFitCommand:
         assert code == 64
         assert "error: " in capsys.readouterr().err
 
+    def test_negative_support_with_equals_sign(self, sample_csv, tmp_path):
+        out = tmp_path / "fit.json"
+        code = main(
+            [
+                "fit", str(sample_csv), "-o", str(out), "--modes", "1",
+                "--restarts", "1", "--jmax", "2", "--support=-5,5",
+            ]
+        )
+        assert code == 0
+        assert json.loads(out.read_text())["support"] == [-5.0, 5.0]
+
     @pytest.mark.parametrize("curve", [False, True], ids=["output", "curve-csv"])
     def test_unwritable_output_exit_2(self, curve, sample_csv, tmp_path, capsys):
         bad = str(tmp_path / "missing" / "out")
@@ -175,7 +186,15 @@ class TestBenchCommand:
     def test_unknown_workers_flag_exit_64(self):
         assert main(["bench", "list", "--workers", "2"]) == 64
 
-    def test_unwritable_out_dir_exit_2(self, tmp_path, capsys):
+    def test_unwritable_out_dir_exit_2(self, tmp_path, capsys, monkeypatch):
+        ran = []
+        real = bench._run_replicate
+
+        def record(*args):
+            ran.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(bench, "_run_replicate", record)
         blocker = tmp_path / "file"
         blocker.write_text("")
         code = main(
@@ -188,6 +207,7 @@ class TestBenchCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(blocker / "out") in err
         assert [p.name for p in tmp_path.iterdir()] == ["file"]
+        assert ran == []  # failed before fitting any replicate
 
     def test_small_run_writes_outputs(self, tmp_path, capsys):
         code = main(

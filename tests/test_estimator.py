@@ -17,17 +17,20 @@ from warpdens import (
     OptimizationError,
     ShapeSpec,
     build_template,
+    coeffs_to_warp,
     count_modes,
     estimate_support,
     fit,
     fit_fixed_j,
+    fourier_basis,
+    group_action,
     log_likelihood,
     rescale_to_unit,
     template_density,
     unit_grid,
 )
 from warpdens import estimator
-from warpdens.estimator import _Objective, _estimate_density
+from warpdens.estimator import _kernel, _Objective
 from warpdens.geometry import COEFF_RADIUS
 
 
@@ -95,13 +98,6 @@ class TestLogLikelihood:
     def test_oracle_beats_identity_on_warped_template(self):
         # data from a warped template: likelihood at the oracle warp should
         # beat the unwarped template with the same lambda
-        from warpdens import (
-            CoefficientVector,
-            coeffs_to_warp,
-            fourier_basis,
-            group_action,
-        )
-
         shape = ShapeSpec.modes(2)
         lam = np.array([0.4, 0.8])
         rng = np.random.default_rng(5)
@@ -201,9 +197,49 @@ class TestObjective:
         theta = np.zeros(obj.n_params)
         for k, (_, role) in enumerate(obj.slots):
             theta[2 + k] = 50.0 if role == "low" else u_mode
-        c, lam = obj.split(theta)
-        tmpl = build_template(shape, lam, omega=1e-3, n=1024)
-        assert count_modes(template_density(tmpl)) == m
+        lam = obj.heights(theta[2:])[0][obj.slot_levels]
+        cfg = FitConfig(shape=shape, n_grid=1024)
+        dens = _kernel(np.array([0.5]), theta[:2], lam, cfg, None)[1]
+        assert count_modes(dens) == m
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        shape=st.sampled_from(GRADIENT_SHAPES),
+        j=st.integers(2, 10),
+        weighted=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_reported_likelihood_is_the_optimized_one(self, shape, j, weighted, seed):
+        rng = np.random.default_rng(seed)
+        n = 200
+        z = rng.beta(2.0, 2.0, n)
+        w = rng.uniform(0.0, 1.0, n) if weighted else None
+        if w is not None:
+            w /= w.sum()
+        obj = _Objective(z, shape, 1e-3, j, 1024, w)
+        theta = np.empty(obj.n_params)
+        direction = rng.standard_normal(j)
+        direction /= np.linalg.norm(direction)
+        theta[:j] = rng.uniform(0.0, 0.999) * COEFF_RADIUS * direction
+        theta[j:] = rng.uniform(-6.0, 6.0, obj.n_params - j)
+        c = theta[:j]
+        heights = obj.heights(theta[j:])[0]
+        lam = heights[obj.slot_levels]
+
+        f = obj.value_and_grad(theta)[0]
+        assert math.isfinite(f)
+        cfg = FitConfig(shape=shape, n_grid=1024)
+        ll = log_likelihood(z, CoefficientVector(c), lam, cfg, w)
+        assert abs(ll + f) <= 1e-9 * abs(ll)
+
+        p = obj.forward(c, heights[obj.level_of_knot])[1]
+        assert abs(np.trapezoid(p, obj.t) - 1.0) <= 1e-6
+        # the kernel integrates gamma by the plain trapezoid rule and
+        # coeffs_to_warp adds the Euler-Maclaurin h^2 correction, so the two
+        # densities differ by an O(h^2) quadrature term (worst seen 1.2e-4)
+        warp = coeffs_to_warp(CoefficientVector(c), fourier_basis(j, 1024))
+        ref = group_action(build_template(shape, lam, 1e-3, 1024), warp).p
+        assert np.max(np.abs(p - ref)) <= 1e-3 * np.max(ref)
 
 
 class TestFitFixedJ:
@@ -238,9 +274,9 @@ class TestFitFixedJ:
         z = rescale_to_unit(x, *estimate_support(x))
         for j in cfg.j_values():
             c, lam, ll = fit_fixed_j(z, j, cfg, seed=seed)
-            dens = _estimate_density(c.c, lam, cfg.shape, cfg.omega, cfg.n_grid)
+            ll_kernel, dens = _kernel(z, c.c, lam, cfg, None)
             assert count_modes(dens) == 2, f"J={j}, lambda={lam}"
-            assert math.isfinite(ll)
+            assert math.isfinite(ll) and ll == ll_kernel
 
     def test_wrong_shape_at_zero_warp_raises(self, monkeypatch):
         monkeypatch.setattr(estimator, "count_modes", lambda p: 0)
@@ -265,10 +301,6 @@ class TestFitFixedJ:
             c_hat, lam_hat, _ = fit_fixed_j(
                 z, 2, FitConfig(shape=shape, restarts=6), seed=seed
             )
-            from warpdens.estimator import _log_likelihood_arrays  # noqa: F401
-            from warpdens import CoefficientVector, coeffs_to_warp, fourier_basis
-            from warpdens import group_action
-
             warp = coeffs_to_warp(c_hat, fourier_basis(2, 4097))
             p_hat = group_action(build_template(shape, lam_hat, 1e-3, 4097), warp)
             l2 = math.sqrt(np.trapezoid((p_hat.p - p.p) ** 2, p.t))
