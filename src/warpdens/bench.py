@@ -325,6 +325,10 @@ def run_benchmark(
     ran replicates about 3x slower, as the fit's small numpy calls
     contend for the interpreter lock.
     """
+    if spec.seed < 0:
+        raise DomainError(f"seed must be >= 0, got {spec.seed}")
+    if spec.replicates < 1:
+        raise DomainError(f"replicates must be >= 1, got {spec.replicates}")
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)  # fail before any replicate runs
     ok: list[ReplicateRecord] = []

@@ -30,6 +30,12 @@ class ConditionalFitConfig:
     def __post_init__(self):
         if not 0.0 < self.neighbor_fraction <= 1.0:
             raise DomainError("neighbor_fraction must be in (0, 1]")
+        if not math.isfinite(self.x0):
+            raise DomainError("x0 must be finite")
+        if self.bandwidth is not None and not (
+            math.isfinite(self.bandwidth) and self.bandwidth > 0.0
+        ):
+            raise DomainError("bandwidth must be None, or finite and > 0")
 
 
 def pilot_bandwidth(x: np.ndarray) -> float:

@@ -73,6 +73,8 @@ class FitConfig:
             raise ConstraintError("n_grid must be >= 5")
         if not 0.0 < self.omega < 1.0:
             raise ConstraintError("omega must satisfy 0 < omega < 1")
+        if self.seed < 0:
+            raise ConstraintError("seed must be >= 0")
 
     def j_values(self) -> list[int]:
         return list(range(self.j_min, self.j_max + 1, self.j_step))
@@ -134,10 +136,11 @@ class _Objective:
 
     ``forward`` maps a feasible (c, knot heights) to the log-likelihood
     and the normalized grid density: v = c B, the sphere exponential map,
-    gamma as the cumulative trapezoid integral of q^2, the template at the
-    samples and on the grid, and the trapezoid normalizer.  Every
-    likelihood and density this module reports or checks comes from it,
-    so the reported likelihood is the function L-BFGS-B maximized.
+    gamma as the cumulative trapezoid integral of q^2, the template in one
+    pass over the samples and the grid together, and the trapezoid
+    normalizer.  Every likelihood and density this module reports or
+    checks comes from it, so the reported likelihood is the function
+    L-BFGS-B maximized.
 
     ``value_and_grad`` adds the reverse pass in theta = (c, u).  The
     coefficient vector c is pulled back onto the feasible ball by radial
@@ -148,6 +151,15 @@ class _Objective:
     ``count_modes`` resolves on the grid, relative to the tallest mode (at
     most cap / 2).  Every search point thus satisfies the height-ratio
     inequalities, and a saturated antimode stays visible on the grid.
+
+    One evaluation is a few dozen numpy calls on arrays of the sample and
+    grid sizes, so it is bound by the cost of each call: the height map,
+    the monotone-knot check and the chain from per-piece sums to the knot
+    heights run on Python floats.  The buffers ``xs`` (gamma at the
+    samples, then on the grid), ``wbar``, ``cum`` and ``seg`` live across
+    calls; the tape holds views into them that are valid until the next
+    call.  The returned density and gradient are fresh arrays on every
+    call, because L-BFGS-B keeps the previous gradient.
     """
 
     def __init__(
@@ -160,10 +172,9 @@ class _Objective:
         weights: np.ndarray | None,
     ):
         self.j = j
-        self.h = 1.0 / (n_grid - 1)
         basis = fourier_basis(j, n_grid)
         self.t, self.b = basis.t, basis.b
-        self.trap = np.full(n_grid, self.h)  # trapezoid quadrature weights
+        self.trap = np.full(n_grid, 1.0 / (n_grid - 1))  # trapezoid weights
         self.trap[[0, -1]] *= 0.5
         self.n_pieces = shape.n_pieces
         self.rel_gap = _VISIBLE * MODE_TOL * (n_grid - 1) / shape.n_pieces
@@ -172,14 +183,15 @@ class _Objective:
         for li, lv in enumerate(levels):
             for kn in lv.knots:
                 self.level_of_knot[kn] = li
-        direction = np.array(
-            [1 if p == "inc" else -1 if p == "dec" else 0 for p in shape.pieces]
-        )
-        self.nonflat = direction != 0
-        self.direction = direction[self.nonflat]
+        self.knot_levels = self.level_of_knot.tolist()
+        self.monotone = [  # (piece, +1 rising or -1 falling) for non-flat pieces
+            (k, 1 if p == "inc" else -1)
+            for k, p in enumerate(shape.pieces)
+            if p != "flat"
+        ]
 
         ref = _reference_level(levels)
-        self.base_heights = np.full(len(levels), omega)
+        self.base_heights = [omega] * len(levels)
         self.base_heights[ref] = 1.0
         self.slots = [  # (level_index, role) for free levels, left to right
             (i, lv.role)
@@ -190,8 +202,9 @@ class _Objective:
         self.modes = [
             (k, i) for k, (i, role) in enumerate(self.slots) if role == "high"
         ]
-        self.antimodes = [
-            (k, i, [n for n in (i - 1, i + 1) if 0 <= n < len(levels)])
+        last = len(levels) - 1
+        self.antimodes = [  # (slot, level, left and right neighbor levels)
+            (k, i, i - 1 if i > 0 else 1, i + 1 if i < last else last - 1)
             for k, (i, role) in enumerate(self.slots)
             if role == "low"
         ]
@@ -200,28 +213,38 @@ class _Objective:
         # fixed sample positions in grid coordinates
         z = np.asarray(z, float)
         zi = np.clip(z * (n_grid - 1), 0.0, n_grid - 1 - 1e-12)
-        self.z_lo = zi.astype(int)
-        self.z_frac = zi - self.z_lo
+        lo = zi.astype(np.intp)
+        frac = zi - lo
+        # gamma(z) = gamma[lo] (1 - frac) + gamma[lo + 1] frac, in one gather
+        self.z_ends = np.concatenate((lo, lo + 1))
+        self.z_ends_wt = np.concatenate((1.0 - frac, frac))
         self.wt = np.ones(z.size) if weights is None else z.size * np.asarray(weights)
         self.wt_sum = float(self.wt.sum())
 
+        self.m = z.size
+        self.xs = np.empty(z.size + n_grid)  # gamma at the samples, then on the grid
+        self.wbar = np.empty(z.size + n_grid)  # d loglik / d template value
+        self.cum = np.zeros(n_grid)  # cum[0] stays 0
+        self.seg = np.zeros(n_grid + 1)  # seg[0] and seg[-1] stay 0
+
     def heights(self, u: np.ndarray):
-        """Level heights from the height parameters u.
+        """Level heights (an ndarray) from the height parameters u.
 
         Also returns dh/du per slot and, per antimode, (level, capping
         level, dh/dcap, tallest level, dh/dtallest) for the reverse pass.
         """
-        u = np.clip(u, -_U_CLIP, _U_CLIP)
-        inside = np.abs(u) < _U_CLIP
+        u = u.tolist()
+        inside = [-_U_CLIP < uk < _U_CLIP for uk in u]
+        u = [x if ok else min(max(x, -_U_CLIP), _U_CLIP) for x, ok in zip(u, inside)]
         heights = self.base_heights.copy()
-        dh_du = np.zeros(u.size)
+        dh_du = [0.0] * len(u)
         for k, i in self.modes:
             heights[i] = math.exp(u[k])
             dh_du[k] = heights[i] * inside[k]
-        top = int(np.argmax(heights))  # antimodes are not set yet
+        top = heights.index(max(heights))  # antimodes are not set yet
         links = []
-        for k, i, neighbors in self.antimodes:
-            cap = min(neighbors, key=heights.__getitem__)
+        for k, i, left, right in self.antimodes:
+            cap = left if heights[left] <= heights[right] else right
             sig = 1.0 / (1.0 + math.exp(-u[k]))
             gap = self.rel_gap * heights[top]
             if gap < 0.5 * heights[cap]:
@@ -231,100 +254,120 @@ class _Objective:
                 heights[i] = 0.5 * sig * heights[cap]
                 links.append((i, cap, 0.5 * sig, top, 0.0))
             dh_du[k] = heights[i] * (1.0 - sig) * inside[k]
-        return heights, dh_du, links
+        return np.array(heights), dh_du, links
 
     def project(self, c: np.ndarray) -> tuple[np.ndarray, float]:
         """Radial projection of c onto the feasible ball, and the length of c."""
-        c_len = float(np.linalg.norm(c))
+        c_len = math.sqrt(float(c @ c))
         if c_len > COEFF_RADIUS:
             return c * (_PROJECTED_RADIUS / c_len), c_len
         return c, c_len
 
-    def _template(self, kh: np.ndarray, x: np.ndarray):
-        """Piecewise-linear template (equal-width knots) at x: the piece
-        index, the position within it, d(template)/dx and the value."""
-        s = np.clip(x * self.n_pieces, 0.0, self.n_pieces - 1e-12)
-        k = s.astype(int)
-        r = s - k
-        rise = kh[k + 1] - kh[k]
-        return k, r, self.n_pieces * rise, kh[k] + r * rise
-
-    def forward(self, c: np.ndarray, kh: np.ndarray):
+    def forward(self, c: np.ndarray, kh):
         """(loglik, normalized grid density, tape) at a feasible (c, knot
-        heights); the tape holds what the reverse pass reuses."""
+        heights); kh is a list or an array, and the tape holds what the
+        reverse pass reuses."""
+        m, pieces = self.m, self.n_pieces
         v = c @ self.b
-        nrm = math.sqrt(max(float(self.trap @ (v * v)), 0.0))
+        tv = self.trap * v
+        nrm = math.sqrt(max(float(v @ tv), 0.0))
         curved = nrm >= _THETA_FLOOR
         sinc = math.sin(nrm) / nrm if curved else 1.0
-        q = (math.cos(nrm) if curved else 1.0) + sinc * v
+        q = sinc * v
+        q += math.cos(nrm) if curved else 1.0
         qsq = q * q
-        cum = np.empty_like(q)
-        cum[0] = 0.0
-        np.cumsum((qsq[1:] + qsq[:-1]) * (0.5 * self.h), out=cum[1:])
-        total = cum[-1]
-        gamma = cum / total
-        lo, f = self.z_lo, self.z_frac
-        gamma_z = gamma[lo] * (1.0 - f) + gamma[lo + 1] * f
-        kz, rz, dz, gz = self._template(kh, gamma_z)
-        kg, rg, dg, warped = self._template(kh, gamma)
-        norm = float(self.trap @ warped)  # heights, hence gz and norm, are > 0
-        ll = float(self.wt @ np.log(gz)) - self.wt_sum * math.log(norm)
-        tape = (v, nrm, sinc, q, total, gamma, kz, rz, dz, gz, kg, rg, dg, norm)
+        # gamma = cum / cum[-1], so the trapezoid's h / 2 cancels
+        cum = self.cum
+        np.add(qsq[1:], qsq[:-1], out=cum[1:])
+        np.add.accumulate(cum[1:], out=cum[1:])
+        total = float(cum[-1])
+        xs = self.xs
+        gamma = xs[m:]
+        np.divide(cum, total, out=gamma)
+        ends = gamma[self.z_ends]
+        ends *= self.z_ends_wt
+        np.add(ends[:m], ends[m:], out=xs[:m])
+
+        # piecewise-linear template over samples and grid at once: on piece
+        # k it is slope[k] * s + inter[k] with s = pieces * x; gamma lies in
+        # [0, 1], and the extra piece repeats the last one for s == pieces
+        slope = [kh[i + 1] - kh[i] for i in range(pieces)]
+        inter = [kh[i] - i * slope[i] for i in range(pieces)]
+        lines = np.array(slope + slope[-1:] + inter + inter[-1:])
+        s = xs * pieces
+        k = s.astype(np.intp)
+        sk = lines[: pieces + 1][k]
+        val = sk * s
+        val += lines[pieces + 1 :][k]
+        warped = val[m:]
+        norm = float(self.trap @ warped)  # heights, hence val and norm, are > 0
+        ll = float(self.wt @ np.log(val[:m])) - self.wt_sum * math.log(norm)
+        tape = (v, tv, nrm, sinc, q, total, gamma, s, k, sk, val[:m], norm)
         return ll, warped / norm, tape
 
     def value_and_grad(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
         """(-loglik, -d loglik / d theta); (inf, 0) off the feasible set."""
-        j = self.j
+        j, m, pieces = self.j, self.m, self.n_pieces
         c, c_len = self.project(theta[:j])
         heights, dh_du, links = self.heights(theta[j:])
-        kh = heights[self.level_of_knot]
-        if np.any(np.diff(kh)[self.nonflat] * self.direction <= 0):
-            return math.inf, np.zeros_like(theta)
+        heights = heights.tolist()
+        kh = [heights[i] for i in self.knot_levels]
+        for k, d in self.monotone:
+            if (kh[k + 1] - kh[k]) * d <= 0.0:
+                return math.inf, np.zeros_like(theta)
         ll, _, tape = self.forward(c, kh)
-        v, nrm, sinc, q, total, gamma, kz, rz, dz, gz, kg, rg, dg, norm = tape
+        v, tv, nrm, sinc, q, total, gamma, s, k, sk, gz, norm = tape
 
-        # reverse: template heights, then gamma back through the warp
-        gz_bar = self.wt / gz
-        warped_bar = (-self.wt_sum / norm) * self.trap
-        m = kh.size
-        kh_bar = (
-            np.bincount(kz, gz_bar * (1.0 - rz), m)
-            + np.bincount(kz + 1, gz_bar * rz, m)
-            + np.bincount(kg, warped_bar * (1.0 - rg), m)
-            + np.bincount(kg + 1, warped_bar * rg, m)
-        )
-        h_bar = np.bincount(self.level_of_knot, kh_bar, heights.size)
+        # reverse: per-piece sums of the template's adjoint give the knot
+        # heights (d/dkh[k] = 1 + k - s, d/dkh[k+1] = s - k on piece k)
+        wbar = self.wbar
+        np.divide(self.wt, gz, out=wbar[:m])
+        np.multiply(self.trap, -self.wt_sum / norm, out=wbar[m:])
+        w_sum = np.bincount(k, wbar, pieces + 1).tolist()
+        ws_sum = np.bincount(k, wbar * s, pieces + 1).tolist()
+        w_sum[pieces - 1] += w_sum[pieces]  # the extra piece is the last piece
+        ws_sum[pieces - 1] += ws_sum[pieces]
+        kh_bar = [0.0] * (pieces + 1)
+        for i in range(pieces):
+            kh_bar[i] += (1 + i) * w_sum[i] - ws_sum[i]
+            kh_bar[i + 1] += ws_sum[i] - i * w_sum[i]
+        h_bar = [0.0] * len(heights)
+        for kn, li in enumerate(self.knot_levels):
+            h_bar[li] += kh_bar[kn]
         for i, cap, dh_dcap, top, dh_dtop in links:
             h_bar[cap] += h_bar[i] * dh_dcap
             h_bar[top] += h_bar[i] * dh_dtop
-        u_bar = h_bar[self.slot_levels] * dh_du
+        u_grad = [-h_bar[i] * d for (i, _), d in zip(self.slots, dh_du)]
 
-        gz_pos_bar = gz_bar * dz
-        n = gamma.size
-        lo, f = self.z_lo, self.z_frac
-        gamma_bar = (
-            warped_bar * dg
-            + np.bincount(lo, gz_pos_bar * (1.0 - f), n)
-            + np.bincount(lo + 1, gz_pos_bar * f, n)
-        )
-        cum_bar = gamma_bar / total
-        cum_bar[-1] -= float(gamma_bar @ gamma) / total
-        seg_bar = np.cumsum(cum_bar[:0:-1])[::-1] * (0.5 * self.h)
-        qsq_bar = np.zeros(n)
-        qsq_bar[:-1] = seg_bar
-        qsq_bar[1:] += seg_bar
-        q_bar = 2.0 * q * qsq_bar
-        v_bar = sinc * q_bar
+        # then gamma back through the warp; x_bar = d loglik / d s, and
+        # s = pieces * gamma, gamma = cum / total fold into ``scale``
+        x_bar = wbar * sk
+        gamma_bar = x_bar[m:]
+        xz_bar = x_bar[:m]
+        n, ends, ends_wt = gamma.size, self.z_ends, self.z_ends_wt
+        gamma_bar += np.bincount(ends[:m], xz_bar * ends_wt[:m], n)
+        gamma_bar += np.bincount(ends[m:], xz_bar * ends_wt[m:], n)
+        # d/dqsq[i] = sum of cum_bar over the cumulative sums that hold
+        # segment i-1 or segment i; cum[-1] also divides every gamma
+        seg = self.seg
+        np.add.accumulate(gamma_bar[:0:-1], out=seg[-2:0:-1])
+        seg[1:-1] -= float(gamma_bar @ gamma)
+        qq_bar = q * (seg[1:] + seg[:-1])
+        scale = -2.0 * pieces / total  # q_bar = scale * qq_bar, for -loglik
+        v_bar = (scale * sinc) * qq_bar
         if nrm >= _THETA_FLOOR:
-            nrm_bar = -math.sin(nrm) * float(q_bar.sum()) + (
-                (math.cos(nrm) - sinc) / nrm
-            ) * float(q_bar @ v)
-            v_bar += (nrm_bar / nrm) * self.trap * v
-        c_bar = self.b @ v_bar
+            nrm_bar = scale * (
+                -math.sin(nrm) * float(qq_bar.sum())
+                + (math.cos(nrm) - sinc) / nrm * float(qq_bar @ v)
+            )
+            v_bar += tv * (nrm_bar / nrm)
+        c_grad = self.b @ v_bar
         if c_len > COEFF_RADIUS:
             unit = theta[:j] / c_len
-            c_bar = (_PROJECTED_RADIUS / c_len) * (c_bar - unit * float(unit @ c_bar))
-        return -ll, -np.concatenate((c_bar, u_bar))
+            c_grad = (_PROJECTED_RADIUS / c_len) * (
+                c_grad - unit * float(unit @ c_grad)
+            )
+        return -ll, np.concatenate((c_grad, u_grad))
 
 
 def _kernel(
@@ -447,14 +490,26 @@ def fit(
 ) -> DensityEstimate:
     """Full fit: support, rescaling, J sweep, AIC selection.
 
-    A J at which ``fit_fixed_j`` finds no candidate with the requested
-    shape drops out of the AIC comparison.
+    ``weights``, if given, hold one finite, non-negative weight per sample
+    and sum to 1.  A J at which ``fit_fixed_j`` finds no candidate with
+    the requested shape drops out of the AIC comparison.
     """
     x = np.asarray(x, float)
     if x.size < 10:
         raise DegenerateSampleError(f"need at least 10 observations, got {x.size}")
     if not np.all(np.isfinite(x)):
         raise DegenerateSampleError("samples must be finite (no NaN or inf)")
+    if weights is not None:
+        weights = np.asarray(weights, float)
+        if weights.ndim != 1 or weights.size != x.size:
+            raise DomainError(
+                f"weights must be 1-D with one weight per sample ({x.size}), "
+                f"got shape {weights.shape}"
+            )
+        if not np.all(np.isfinite(weights)) or np.any(weights < 0):
+            raise DomainError("weights must be finite and non-negative")
+        if abs(float(weights.sum()) - 1.0) > 1e-9:
+            raise DomainError(f"weights must sum to 1, got {float(weights.sum())}")
     support = cfg.support if cfg.support is not None else estimate_support(x)
     z = rescale_to_unit(x, *support)
 

@@ -154,6 +154,20 @@ class TestRunBenchmark:
         with pytest.raises(DomainError, match=r"every replicate failed \(Optim"):
             run_benchmark(small_spec(), 60)
 
+    @pytest.mark.parametrize(
+        "change, match",
+        [({"seed": -1}, "seed"), ({"replicates": 0}, "replicates")],
+        ids=["seed", "replicates"],
+    )
+    def test_invalid_spec_rejected_before_any_replicate(
+        self, monkeypatch, change, match
+    ):
+        ran = []
+        monkeypatch.setattr(bench, "_run_replicate", lambda *args: ran.append(args))
+        with pytest.raises(DomainError, match=match):
+            run_benchmark(small_spec(**change), 60)
+        assert ran == []
+
     def test_single_replicate_zero_sd(self):
         summary = run_benchmark(small_spec(replicates=1), 60)
         assert summary.sd["L2"] == 0.0

@@ -103,6 +103,14 @@ class TestFitCommand:
         assert code == 0
         assert json.loads(out.read_text())["support"] == [-5.0, 5.0]
 
+    def test_negative_seed_exit_4(self, sample_csv, tmp_path, capsys):
+        out = tmp_path / "x.json"
+        code = main(["fit", str(sample_csv), "-o", str(out), "--modes", "1",
+                     "--seed", "-1"])
+        assert code == 4
+        assert capsys.readouterr().err == "error: seed must be >= 0\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("curve", [False, True], ids=["output", "curve-csv"])
     def test_unwritable_output_exit_2(self, curve, sample_csv, tmp_path, capsys):
         bad = str(tmp_path / "missing" / "out")
@@ -208,6 +216,21 @@ class TestBenchCommand:
         assert err.startswith("error: ") and str(blocker / "out") in err
         assert [p.name for p in tmp_path.iterdir()] == ["file"]
         assert ran == []  # failed before fitting any replicate
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--seed", "-1"], "error: seed must be >= 0, got -1\n"),
+            (["--reps", "0"], "error: replicates must be >= 1, got 0\n"),
+        ],
+        ids=["seed", "reps"],
+    )
+    def test_invalid_run_exit_4(self, tmp_path, capsys, flags, message):
+        code = main(["bench", "symmetric-unimodal", "--n", "60",
+                     "--out-dir", str(tmp_path / "out"), *flags])
+        assert code == 4
+        assert capsys.readouterr().err == message
+        assert list(tmp_path.iterdir()) == []
 
     def test_small_run_writes_outputs(self, tmp_path, capsys):
         code = main(

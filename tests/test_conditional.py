@@ -110,6 +110,26 @@ class TestComputeWeights:
         assert np.max(np.abs(w - [0.57410, 0.34821, 0.07770])) < 1e-4
 
 
+class TestConditionalFitConfig:
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"x0": math.nan},
+            {"x0": math.inf},
+            {"bandwidth": 0.0},
+            {"bandwidth": -1.0},
+            {"bandwidth": math.nan},
+            {"bandwidth": math.inf},
+        ],
+        ids=["x0-nan", "x0-inf", "bandwidth-0", "bandwidth-negative",
+             "bandwidth-nan", "bandwidth-inf"],
+    )
+    def test_rejected(self, change):
+        fields = {"base": FitConfig(shape=ShapeSpec.modes(1)), "x0": 0.0, **change}
+        with pytest.raises(DomainError):
+            ConditionalFitConfig(**fields)
+
+
 class TestFitConditional:
     def test_uniform_weights_reduce_to_plain_fit(self):
         # frac=1 with a huge fixed bandwidth makes all weights equal; the

@@ -12,6 +12,7 @@ from warpdens import (
     CoefficientVector,
     ConstraintError,
     DegenerateSampleError,
+    DomainError,
     FitConfig,
     GridDensity,
     OptimizationError,
@@ -30,7 +31,7 @@ from warpdens import (
     unit_grid,
 )
 from warpdens import estimator
-from warpdens.estimator import _kernel, _Objective
+from warpdens.estimator import _kernel, _Objective, _random_start
 from warpdens.geometry import COEFF_RADIUS
 
 
@@ -126,6 +127,7 @@ class TestConfigValidation:
             {"maxiter": 0},
             {"omega": 2.0},
             {"omega": 0.0},
+            {"seed": -1},
         ],
     )
     def test_rejected(self, change):
@@ -157,8 +159,9 @@ class TestObjective:
     ):
         rng = np.random.default_rng(seed)
         n = 200
-        z = rng.beta(2.0, 2.0, n)
-        w = rng.uniform(0.0, 1.0, n) if weighted else None
+        # the endpoints put a sample at gamma = 0 and one at the last knot
+        z = np.append(rng.beta(2.0, 2.0, n), [0.0, 1.0])
+        w = rng.uniform(0.0, 1.0, z.size) if weighted else None
         if w is not None:
             w /= w.sum()
         obj = _Objective(z, shape, 1e-3, j, 1024, w)
@@ -188,6 +191,32 @@ class TestObjective:
                 # piecewise-linear template: the gradient is one of the sides
                 assert min(abs(fwd - g[k]), abs(back - g[k])) <= tol, k
 
+    def test_results_survive_later_calls(self):
+        # the kernel reuses its work buffers from call to call; L-BFGS-B
+        # keeps the previous gradient, and callers keep the density
+        z = np.random.default_rng(13).beta(2.0, 2.0, 300)
+        obj = _Objective(z, ShapeSpec.modes(2), 1e-3, 4, 1024, None)
+        theta_a, theta_b = (
+            _random_start(obj, np.random.default_rng([13, r])) for r in (1, 2)
+        )
+        f_a, g_a = obj.value_and_grad(theta_a)
+        g_kept = g_a.copy()
+        f_b, g_b = obj.value_and_grad(theta_b)
+        assert math.isfinite(f_a) and math.isfinite(f_b)
+        assert not np.array_equal(g_a, g_b)
+        assert np.array_equal(g_a, g_kept)
+
+        def density(theta):
+            kh = obj.heights(theta[4:])[0][obj.level_of_knot]
+            return obj.forward(obj.project(theta[:4])[0], kh)[1]
+
+        p_a = density(theta_a)
+        p_kept = p_a.copy()
+        p_b = density(theta_b)
+        obj.value_and_grad(theta_b)
+        assert not np.array_equal(p_a, p_b)
+        assert np.array_equal(p_a, p_kept)
+
     @pytest.mark.parametrize("m", [2, 3])
     @pytest.mark.parametrize("u_mode", [-3.0, 0.0, 3.0, 6.0])
     def test_saturated_antimodes_keep_mode_count(self, m, u_mode):
@@ -212,8 +241,8 @@ class TestObjective:
     def test_reported_likelihood_is_the_optimized_one(self, shape, j, weighted, seed):
         rng = np.random.default_rng(seed)
         n = 200
-        z = rng.beta(2.0, 2.0, n)
-        w = rng.uniform(0.0, 1.0, n) if weighted else None
+        z = np.append(rng.beta(2.0, 2.0, n), [0.0, 1.0])
+        w = rng.uniform(0.0, 1.0, z.size) if weighted else None
         if w is not None:
             w /= w.sum()
         obj = _Objective(z, shape, 1e-3, j, 1024, w)
@@ -354,6 +383,24 @@ class TestFit:
     def test_small_sample_rejected(self):
         with pytest.raises(DegenerateSampleError):
             fit(np.array([0.1, 0.2, 0.3]), FitConfig(shape=ShapeSpec.modes(1)))
+
+    @pytest.mark.parametrize(
+        "weights, match",
+        [
+            (np.full((50, 1), 0.02), "1-D"),
+            (np.full(49, 1.0 / 49.0), "one weight per sample"),
+            (np.where(np.arange(50) == 3, np.nan, 0.02), "finite"),
+            (np.where(np.arange(50) == 3, np.inf, 0.02), "finite"),
+            (np.array([-0.02, 0.06] + [0.02] * 48), "non-negative"),
+            (np.zeros(50), "sum to 1"),
+            (np.full(50, 0.04), "sum to 1"),
+        ],
+        ids=["2-d", "length", "nan", "inf", "negative", "all-zero", "sum-2"],
+    )
+    def test_invalid_weights_rejected(self, weights, match):
+        x = np.random.default_rng(14).normal(0, 1, 50)
+        with pytest.raises(DomainError, match=match):
+            fit(x, FitConfig(shape=ShapeSpec.modes(1), restarts=1), weights=weights)
 
     @pytest.mark.parametrize(
         "bad, support",
