@@ -40,7 +40,7 @@ from .templates import (
 )
 
 _AIC_TIE = 1e-9
-_U_CLIP = 30.0  # height parameters saturate here (exp(30) ~ 1e13)
+_U_CLIP = 30.0  # height parameters are clipped here (sigmoid(-30) ~ 1e-13)
 _VISIBLE = 4.0  # antimode depth in multiples of the least rise count_modes sees
 _PROJECTED_RADIUS = COEFF_RADIUS - 1e-6
 
@@ -144,13 +144,13 @@ class _Objective:
 
     ``value_and_grad`` adds the reverse pass in theta = (c, u).  The
     coefficient vector c is pulled back onto the feasible ball by radial
-    projection when it leaves it.  Mode heights enter as exp(u) (the
-    first mode stays pinned at 1).  Each antimode is sigmoid(u) * (cap -
-    gap), where cap is the lower of its neighboring mode heights and gap
-    is _VISIBLE times the smallest rise over one piece that
-    ``count_modes`` resolves on the grid, relative to the tallest mode (at
-    most cap / 2).  Every search point thus satisfies the height-ratio
-    inequalities, and a saturated antimode stays visible on the grid.
+    projection when it leaves it.  Each free mode is exp(span * tanh(u /
+    span)), within 1 / (2 rel_gap) of the first mode (pinned at 1) and of
+    the others.  Each antimode is sigmoid(u) * (cap - gap): cap is the
+    lower neighboring mode, and gap is rel_gap times the tallest mode,
+    _VISIBLE times the least rise over one piece that ``count_modes``
+    resolves.  Only a boundary mode pinned at omega (``dec,inc``) can be a
+    cap below 2 gap; its antimode is sigmoid(u) * cap / 2 instead.
 
     One evaluation is a few dozen numpy calls on arrays of the sample and
     grid sizes, so it is bound by the cost of each call: the height map,
@@ -202,6 +202,11 @@ class _Objective:
         self.modes = [
             (k, i) for k, (i, role) in enumerate(self.slots) if role == "high"
         ]
+        # free modes lie within exp(+-span) of 1; span halves with two or more,
+        # so they stay within 1 / (2 rel_gap) of each other; span > 0 needs this
+        if self.modes and self.rel_gap >= 0.5:
+            raise ConstraintError("n_grid too fine for count_modes to see a dip")
+        self.span = math.log(0.5 / self.rel_gap) / min(2, max(1, len(self.modes)))
         last = len(levels) - 1
         self.antimodes = [  # (slot, level, left and right neighbor levels)
             (k, i, i - 1 if i > 0 else 1, i + 1 if i < last else last - 1)
@@ -239,8 +244,9 @@ class _Objective:
         heights = self.base_heights.copy()
         dh_du = [0.0] * len(u)
         for k, i in self.modes:
-            heights[i] = math.exp(u[k])
-            dh_du[k] = heights[i] * inside[k]
+            th = math.tanh(u[k] / self.span)
+            heights[i] = math.exp(self.span * th)
+            dh_du[k] = heights[i] * (1.0 - th * th) * inside[k]
         top = heights.index(max(heights))  # antimodes are not set yet
         links = []
         for k, i, left, right in self.antimodes:
@@ -288,21 +294,21 @@ class _Objective:
         ends *= self.z_ends_wt
         np.add(ends[:m], ends[m:], out=xs[:m])
 
-        # piecewise-linear template over samples and grid at once: on piece
-        # k it is slope[k] * s + inter[k] with s = pieces * x; gamma lies in
-        # [0, 1], and the extra piece repeats the last one for s == pieces
+        # piecewise-linear template over samples and grid at once, positive
+        # with the knot heights: kh[k] + frac * slope[k] on piece k, with
+        # frac = pieces * x - k; x <= 1, and the extra piece reads kh[pieces]
         slope = [kh[i + 1] - kh[i] for i in range(pieces)]
-        inter = [kh[i] - i * slope[i] for i in range(pieces)]
-        lines = np.array(slope + slope[-1:] + inter + inter[-1:])
-        s = xs * pieces
-        k = s.astype(np.intp)
+        lines = np.array(slope + slope[-1:] + list(kh))
+        frac = xs * pieces
+        k = frac.astype(np.intp)
+        frac -= k
         sk = lines[: pieces + 1][k]
-        val = sk * s
+        val = frac * sk
         val += lines[pieces + 1 :][k]
         warped = val[m:]
         norm = float(self.trap @ warped)  # heights, hence val and norm, are > 0
         ll = float(self.wt @ np.log(val[:m])) - self.wt_sum * math.log(norm)
-        tape = (v, tv, nrm, sinc, q, total, gamma, s, k, sk, val[:m], norm)
+        tape = (v, tv, nrm, sinc, q, total, gamma, frac, k, sk, val[:m], norm)
         return ll, warped / norm, tape
 
     def value_and_grad(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
@@ -316,21 +322,18 @@ class _Objective:
             if (kh[k + 1] - kh[k]) * d <= 0.0:
                 return math.inf, np.zeros_like(theta)
         ll, _, tape = self.forward(c, kh)
-        v, tv, nrm, sinc, q, total, gamma, s, k, sk, gz, norm = tape
+        v, tv, nrm, sinc, q, total, gamma, frac, k, sk, gz, norm = tape
 
         # reverse: per-piece sums of the template's adjoint give the knot
-        # heights (d/dkh[k] = 1 + k - s, d/dkh[k+1] = s - k on piece k)
+        # heights (d/dkh[k] = 1 - frac, d/dkh[k+1] = frac on piece k)
         wbar = self.wbar
         np.divide(self.wt, gz, out=wbar[:m])
         np.multiply(self.trap, -self.wt_sum / norm, out=wbar[m:])
         w_sum = np.bincount(k, wbar, pieces + 1).tolist()
-        ws_sum = np.bincount(k, wbar * s, pieces + 1).tolist()
-        w_sum[pieces - 1] += w_sum[pieces]  # the extra piece is the last piece
-        ws_sum[pieces - 1] += ws_sum[pieces]
-        kh_bar = [0.0] * (pieces + 1)
+        wf_sum = np.bincount(k, wbar * frac, pieces + 1).tolist()
+        kh_bar = [w - wf for w, wf in zip(w_sum, wf_sum)]
         for i in range(pieces):
-            kh_bar[i] += (1 + i) * w_sum[i] - ws_sum[i]
-            kh_bar[i + 1] += ws_sum[i] - i * w_sum[i]
+            kh_bar[i + 1] += wf_sum[i]
         h_bar = [0.0] * len(heights)
         for kn, li in enumerate(self.knot_levels):
             h_bar[li] += kh_bar[kn]
@@ -387,6 +390,22 @@ def _kernel(
     return ll, GridDensity(obj.t.copy(), p)  # obj.t is the cached basis grid
 
 
+def _check_sample(x: np.ndarray, weights: np.ndarray | None) -> np.ndarray | None:
+    """Input checks shared by ``fit`` and ``log_likelihood``; returns the weights."""
+    if not np.all(np.isfinite(x)):
+        raise DegenerateSampleError("samples must be finite (no NaN or inf)")
+    if weights is None:
+        return None
+    weights = np.asarray(weights, float)
+    if weights.ndim != 1 or weights.size != x.size:
+        raise DomainError(f"need 1-D weights, one weight per sample: {weights.shape}")
+    if not np.all(np.isfinite(weights)) or np.any(weights < 0):
+        raise DomainError("weights must be finite and non-negative")
+    if abs(float(weights.sum()) - 1.0) > 1e-9:
+        raise DomainError(f"weights must sum to 1, got {float(weights.sum())}")
+    return weights
+
+
 def log_likelihood(
     z: np.ndarray,
     c: CoefficientVector,
@@ -399,12 +418,16 @@ def log_likelihood(
     This is the function the fit maximizes, with gamma integrated by the
     cumulative trapezoid rule.  With ``weights`` (summing to 1) the
     weighted form n * sum(w_i log p_i) is used, which reduces to the plain
-    sum for uniform weights.
+    sum for uniform weights.  Samples must lie in [0, 1].
     """
+    z = np.asarray(z, float)
+    weights = _check_sample(z, weights)
+    if np.any((z < 0.0) | (z > 1.0)):
+        raise DomainError("unit-interval samples must lie in [0, 1]")
     cc = np.asarray(c.c, float)
     if np.linalg.norm(cc) > COEFF_RADIUS + 1e-9:
         raise ConstraintError("coefficient vector outside the feasible ball")
-    return _kernel(np.asarray(z, float), cc, lam, cfg, weights)[0]
+    return _kernel(z, cc, lam, cfg, weights)[0]
 
 
 def _random_start(obj: _Objective, rng: np.random.Generator) -> np.ndarray:
@@ -430,12 +453,13 @@ def fit_fixed_j(
     seed: int,
     weights: np.ndarray | None = None,
 ) -> tuple[CoefficientVector, np.ndarray, float]:
-    """Best local optimum across multi-start L-BFGS-B runs.
+    """Best local optimum with the requested shape across L-BFGS-B runs.
 
     Each run follows the analytic likelihood gradient.  Start 0 is
     deterministic (identity warp, midpoint-feasible heights); the remaining
-    starts draw from seeded per-restart streams.  Ties in the objective
-    resolve to the earliest restart.
+    starts draw from seeded per-restart streams.  ``count_modes`` checks
+    the finite results once each, best objective first (ties to the
+    earliest restart), and the first with the requested modes is returned.
     """
     z = np.asarray(z, float)
     obj = _Objective(z, cfg.shape, cfg.omega, j, cfg.n_grid, weights)
@@ -445,7 +469,7 @@ def fit_fixed_j(
         rng = np.random.default_rng([seed, r])
         starts.append(_random_start(obj, rng))
 
-    best = None
+    runs = []
     for r, theta0 in enumerate(starts):
         res = minimize(
             obj.value_and_grad,
@@ -454,33 +478,19 @@ def fit_fixed_j(
             method="L-BFGS-B",
             options={"maxiter": cfg.maxiter},
         )
-        if not math.isfinite(res.fun):
-            continue
-        if best is None or res.fun < best[0]:
-            best = (float(res.fun), res.x, r)
-    if best is None:
+        if math.isfinite(res.fun):
+            runs.append((float(res.fun), r, res.x))
+    if not runs:
         raise OptimizationError(f"all {len(starts)} starts failed at J={j}")
 
-    theta = best[1]
-    c = obj.project(theta[:j])[0]
-    heights = obj.heights(theta[j:])[0]
-    lam, kh = heights[obj.slot_levels], heights[obj.level_of_knot]
-    # shape guarantee: shrink the warp until the grid density shows the
-    # requested critical structure
     n_modes = cfg.shape.n_modes
-    scale = 1.0
-    while True:
-        ll, p = obj.forward(c * scale, kh)[:2]
+    for _, _, theta in sorted(runs, key=lambda run: run[:2]):
+        c = obj.project(theta[:j])[0]
+        heights = obj.heights(theta[j:])[0]
+        ll, p = obj.forward(c, heights[obj.level_of_knot])[:2]
         if count_modes(GridDensity(obj.t, p)) == n_modes:
-            return CoefficientVector(c * scale), lam, ll
-        if scale == 0.0:
-            raise OptimizationError(
-                f"J={j}: the unwarped template at lambda={lam} does not show "
-                f"{n_modes} modes on the grid"
-            )
-        scale *= 0.7
-        if scale < 1e-8:
-            scale = 0.0
+            return CoefficientVector(c), heights[obj.slot_levels], ll
+    raise OptimizationError(f"J={j}: no restart's grid density has {n_modes} modes")
 
 
 def fit(
@@ -491,25 +501,13 @@ def fit(
     """Full fit: support, rescaling, J sweep, AIC selection.
 
     ``weights``, if given, hold one finite, non-negative weight per sample
-    and sum to 1.  A J at which ``fit_fixed_j`` finds no candidate with
-    the requested shape drops out of the AIC comparison.
+    and sum to 1.  A J at which no restart's grid density has the
+    requested mode count drops out of the AIC comparison.
     """
     x = np.asarray(x, float)
     if x.size < 10:
         raise DegenerateSampleError(f"need at least 10 observations, got {x.size}")
-    if not np.all(np.isfinite(x)):
-        raise DegenerateSampleError("samples must be finite (no NaN or inf)")
-    if weights is not None:
-        weights = np.asarray(weights, float)
-        if weights.ndim != 1 or weights.size != x.size:
-            raise DomainError(
-                f"weights must be 1-D with one weight per sample ({x.size}), "
-                f"got shape {weights.shape}"
-            )
-        if not np.all(np.isfinite(weights)) or np.any(weights < 0):
-            raise DomainError("weights must be finite and non-negative")
-        if abs(float(weights.sum()) - 1.0) > 1e-9:
-            raise DomainError(f"weights must sum to 1, got {float(weights.sum())}")
+    weights = _check_sample(x, weights)
     support = cfg.support if cfg.support is not None else estimate_support(x)
     z = rescale_to_unit(x, *support)
 

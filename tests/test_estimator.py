@@ -31,8 +31,9 @@ from warpdens import (
     unit_grid,
 )
 from warpdens import estimator
-from warpdens.estimator import _kernel, _Objective, _random_start
+from warpdens.estimator import _U_CLIP, _kernel, _Objective, _random_start
 from warpdens.geometry import COEFF_RADIUS
+from warpdens.templates import _reference_level
 
 
 class TestSupport:
@@ -117,6 +118,34 @@ class TestLogLikelihood:
         ll_id = log_likelihood(z, CoefficientVector(np.zeros(4)), lam, cfg)
         assert ll_oracle > ll_id
 
+    def test_template_positive_next_to_steep_knot(self):
+        # an antimode of 4.7e-14 next to a mode of 488: the template value
+        # at a sample on the rising piece must not cancel to zero
+        shape = ShapeSpec.modes(2)
+        lam = np.array([4.7e-14, 488.0])
+        z = np.array([0.3, 0.5, 0.7])
+        cfg = FitConfig(shape=shape)
+        got = log_likelihood(z, CoefficientVector(np.zeros(2)), lam, cfg)
+        tmpl = build_template(shape, lam, omega=cfg.omega, n=cfg.n_grid)
+        expect = float(np.sum(np.log(np.interp(z, tmpl.knots, tmpl.knot_heights))))
+        expect -= z.size * math.log(np.trapezoid(tmpl.g, tmpl.t))
+        assert abs(got - expect) <= 1e-9 * abs(expect)
+
+    @pytest.mark.parametrize(
+        "z, weights, error",
+        [
+            ([-0.5, 0.3, 1.5], None, DomainError),
+            ([np.nan, 0.3, 0.7], None, DegenerateSampleError),
+            ([0.2, 0.3, 0.7], [-1.0, 1.0, 1.0], DomainError),
+        ],
+        ids=["outside-unit-interval", "nan", "negative-weight"],
+    )
+    def test_invalid_input_rejected(self, z, weights, error):
+        cfg = FitConfig(shape=ShapeSpec.modes(1))
+        c = CoefficientVector(np.zeros(2))
+        with pytest.raises(error):
+            log_likelihood(np.array(z), c, np.empty(0), cfg, weights)
+
 
 class TestConfigValidation:
     @pytest.mark.parametrize(
@@ -134,6 +163,16 @@ class TestConfigValidation:
         with pytest.raises(ConstraintError):
             FitConfig(shape=ShapeSpec.modes(1), **change)
 
+    def test_grid_too_fine_for_a_free_mode(self):
+        # at 600,000 points count_modes could not see the dip between two
+        # modes; one mode has no free height, so the grid is accepted there
+        z = np.array([0.2, 0.5, 0.8])
+        with pytest.raises(ConstraintError, match="too fine"):
+            _Objective(z, ShapeSpec.modes(2), 1e-3, 2, 600_000, None)
+        cfg = FitConfig(shape=ShapeSpec.modes(1), n_grid=600_000)
+        ll = log_likelihood(z, CoefficientVector(np.zeros(2)), np.empty(0), cfg)
+        assert math.isfinite(ll)
+
 
 GRADIENT_SHAPES = [
     ShapeSpec.modes(1),
@@ -142,10 +181,42 @@ GRADIENT_SHAPES = [
     ShapeSpec(("dec",), free_boundaries=True),
     ShapeSpec(("inc", "flat", "dec")),
     ShapeSpec(("inc", "flat", "dec"), free_boundaries=True),
+    # a boundary mode pinned at omega caps an antimode below the visible gap
+    ShapeSpec(("dec", "inc")),
+    ShapeSpec(("inc", "dec", "inc")),
 ]
 
 
 class TestObjective:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        shape=st.sampled_from(GRADIENT_SHAPES + [ShapeSpec.modes(4)]),
+        u=st.lists(
+            st.one_of(
+                st.floats(-40.0, 40.0),
+                st.sampled_from([-50.0, -_U_CLIP, _U_CLIP, 50.0]),
+            ),
+            min_size=6,
+            max_size=6,
+        ),
+    )
+    def test_height_map_keeps_modes_visible(self, shape, u):
+        # bounded modes: no free mode is more than 1 / (2 rel_gap) times
+        # another or the first one, so unless a boundary mode is pinned at
+        # omega the unwarped template shows every mode and antimode
+        obj = _Objective(np.array([0.5]), shape, 1e-3, 2, 1024, None)
+        heights = obj.heights(np.array(u[: obj.n_params - 2]))[0]
+        bounded = [i for _, i in obj.modes] + [_reference_level(shape.levels())]
+        ratio = heights[bounded].max() / heights[bounded].min()
+        assert ratio <= (0.5 / obj.rel_gap) * (1.0 + 1e-12)
+        cfg = FitConfig(shape=shape, n_grid=1024)
+        lam = heights[obj.slot_levels]
+        assert np.all(lam > 0.0)
+        ll, dens = _kernel(np.array([0.5]), np.zeros(2), lam, cfg, None)
+        assert math.isfinite(ll)
+        if len(bounded) == shape.n_modes:
+            assert count_modes(dens) == shape.n_modes
+
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(
         shape=st.sampled_from(GRADIENT_SHAPES),
@@ -308,11 +379,44 @@ class TestFitFixedJ:
             assert math.isfinite(ll) and ll == ll_kernel
 
     def test_wrong_shape_at_zero_warp_raises(self, monkeypatch):
-        monkeypatch.setattr(estimator, "count_modes", lambda p: 0)
+        # every restart's density is checked once, and none passes
+        calls = []
+        monkeypatch.setattr(estimator, "count_modes", lambda p: calls.append(p) or 0)
         z = np.sort(np.random.default_rng(4).beta(2, 4, 200))
         cfg = FitConfig(shape=ShapeSpec.modes(1), restarts=1)
         with pytest.raises(OptimizationError):
             fit_fixed_j(z, 2, cfg, seed=0)
+        assert len(calls) == cfg.restarts + 1
+
+    def test_falls_back_to_next_ranked_restart(self, monkeypatch):
+        # the best restart's density is rejected; the second-ranked restart
+        # is returned as L-BFGS-B left it, not shrunk towards c = 0
+        real_count, real_minimize = estimator.count_modes, estimator.minimize
+        calls, runs = [], []
+
+        def reject_first(p):
+            calls.append(p)
+            return 0 if len(calls) == 1 else real_count(p)
+
+        def recording_minimize(*args, **kwargs):
+            res = real_minimize(*args, **kwargs)
+            runs.append((float(res.fun), len(runs), res.x.copy()))
+            return res
+
+        monkeypatch.setattr(estimator, "count_modes", reject_first)
+        monkeypatch.setattr(estimator, "minimize", recording_minimize)
+        rng = np.random.default_rng(12)
+        z = np.concatenate([rng.beta(3, 9, 150), rng.beta(9, 3, 150)])
+        cfg = FitConfig(shape=ShapeSpec.modes(2), restarts=3)
+        c, lam, ll = fit_fixed_j(z, 4, cfg, seed=0)
+
+        assert len(calls) == 2
+        ranked = sorted(run for run in runs if math.isfinite(run[0]))
+        fun, _, theta = ranked[1]
+        obj = _Objective(z, cfg.shape, cfg.omega, 4, cfg.n_grid, None)
+        assert np.array_equal(c.c, obj.project(theta[:4])[0])
+        assert ll == -fun
+        assert ll == _kernel(z, c.c, lam, cfg, None)[0]
 
     def test_self_consistency_on_template_data(self):
         # sample from the M=1 template itself; J=2 fit recovers it closely
@@ -413,6 +517,16 @@ class TestFit:
         cfg = FitConfig(shape=ShapeSpec.modes(1), support=support)
         with pytest.raises(DegenerateSampleError, match="finite"):
             fit(x, cfg)
+
+    @pytest.mark.parametrize("pieces", [("dec", "inc"), ("inc", "dec", "inc")])
+    def test_mode_pinned_at_omega(self, pieces):
+        # the right boundary mode is pinned at omega, below the gap the
+        # other antimodes keep; its antimode must stay positive
+        x = np.random.default_rng(0).beta(0.6, 2.5, 400)
+        est = fit(x, FitConfig(shape=ShapeSpec(pieces), restarts=4, j_max=4))
+        assert math.isfinite(est.loglik)
+        assert 0.0 < est.lambda_hat[0] < 1e-3
+        assert count_modes(est.unit_density()) == 2
 
     def test_bimodal_recovery(self):
         rng = np.random.default_rng(9)
