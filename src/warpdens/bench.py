@@ -4,7 +4,9 @@ The registry mirrors the simulation scenarios used to evaluate the
 method: unimodal / bimodal / trimodal normal mixtures, a Beta density
 with known support, monotone truncated normals, a trapezoid with a flat
 mode, and two conditional setups.  Mixture parameters are read as
-(mean, variance).
+(mean, variance).  The components are small closed-form laws that draw
+from a numpy Generator exactly as scipy.stats' frozen ``rvs`` does, so
+the library needs nothing from scipy.stats.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .conditional import ConditionalFitConfig, fit_conditional
 from .errors import DomainError, WarpdensError
@@ -35,9 +36,67 @@ class AnalyticDensity:
         raise NotImplementedError
 
 
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
+
+
+@dataclass(frozen=True)
+class Normal:
+    loc: float
+    scale: float
+
+    def pdf(self, x):
+        z = (np.asarray(x, float) - self.loc) / self.scale
+        return np.exp(-z * z / 2.0) / _SQRT_2PI / self.scale
+
+    def rvs(self, size, random_state):
+        return random_state.standard_normal(size) * self.scale + self.loc
+
+    def mean(self) -> float:
+        return self.loc
+
+
+@dataclass(frozen=True)
+class Laplace:
+    loc: float
+    scale: float
+
+    def pdf(self, x):
+        z = (np.asarray(x, float) - self.loc) / self.scale
+        return np.exp(-np.abs(z)) / 2.0 / self.scale
+
+    def rvs(self, size, random_state):
+        return random_state.laplace(0.0, 1.0, size) * self.scale + self.loc
+
+    def mean(self) -> float:
+        return self.loc
+
+
+@dataclass(frozen=True)
+class Beta:
+    """Beta(a, b) on (0, 1); the pdf is 0 outside it (meant for a, b > 1)."""
+
+    a: float
+    b: float
+
+    def pdf(self, x):
+        x = np.asarray(x, float)
+        inside = (x > 0.0) & (x < 1.0)
+        u = np.where(inside, x, 0.5)
+        a, b = self.a, self.b
+        log_norm = math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+        logp = log_norm + (a - 1.0) * np.log(u) + (b - 1.0) * np.log1p(-u)
+        return np.where(inside, np.exp(logp), 0.0)
+
+    def rvs(self, size, random_state):
+        return random_state.beta(self.a, self.b, size)
+
+    def mean(self) -> float:
+        return self.a / (self.a + self.b)
+
+
 @dataclass(frozen=True)
 class Mixture(AnalyticDensity):
-    """Mixture of scipy.stats frozen distributions."""
+    """Mixture of components with ``pdf``, ``rvs`` and ``mean``."""
 
     weights: tuple[float, ...]
     components: tuple
@@ -66,7 +125,7 @@ class Mixture(AnalyticDensity):
 def normal_mixture(*parts: tuple[float, float, float]) -> Mixture:
     """Mixture from (weight, mean, variance) triples."""
     ws = tuple(p[0] for p in parts)
-    comps = tuple(stats.norm(p[1], math.sqrt(p[2])) for p in parts)
+    comps = tuple(Normal(p[1], math.sqrt(p[2])) for p in parts)
     return Mixture(ws, comps)
 
 
@@ -126,7 +185,7 @@ class ConditionalSetup:
     name: str
 
     def sample_x(self, n, rng):
-        return stats.norm(0, 1).rvs(size=n, random_state=rng)
+        return Normal(0.0, 1.0).rvs(size=n, random_state=rng)
 
     def sample_y(self, x, rng):
         raise NotImplementedError
@@ -142,7 +201,7 @@ class _BimodalConditional(ConditionalSetup):
 
     def true_conditional(self, x0):
         return Mixture(
-            (0.5, 0.5), (stats.norm(x0 - 1.5, 0.5), stats.norm(x0 + 1.5, 0.5))
+            (0.5, 0.5), (Normal(x0 - 1.5, 0.5), Normal(x0 + 1.5, 0.5))
         )
 
 
@@ -152,7 +211,7 @@ class _UnimodalConditional(ConditionalSetup):
         return rng.laplace((2.0 * x - 1.0) ** 2, 1.0)
 
     def true_conditional(self, x0):
-        return Mixture((1.0,), (stats.laplace((2.0 * x0 - 1.0) ** 2, 1.0),))
+        return Mixture((1.0,), (Laplace((2.0 * x0 - 1.0) ** 2, 1.0),))
 
 
 @dataclass(frozen=True)
@@ -185,7 +244,7 @@ _register(BenchmarkSpec(
 _register(BenchmarkSpec(
     name="skewed-unimodal",
     shape=ShapeSpec.modes(1),
-    true_density=Mixture((1.0,), (stats.beta(9, 3),)),
+    true_density=Mixture((1.0,), (Beta(9, 3),)),
     support=(0.0, 1.0),
 ))
 _register(BenchmarkSpec(

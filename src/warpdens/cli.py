@@ -159,6 +159,8 @@ def cmd_fit(args) -> int:
 def cmd_cfit(args) -> int:
     shape = _parse_shape(args)
     data = _read_csv_columns(args.input, 2)
+    if not np.all(np.isfinite(data)):  # before x0 is checked against the range
+        raise DegenerateSampleError("covariates and responses must be finite")
     x, y = data[:, 0], data[:, 1]
     x0 = args.x0 if args.x0 is not None else float(np.median(x))
     if not (np.min(x) <= x0 <= np.max(x)):
@@ -199,13 +201,11 @@ def cmd_bench(args) -> int:
 
 
 def _oracle_density(name: str, n: int) -> tuple[GridDensity, int]:
-    from scipy import stats
-
     t = unit_grid(n)
     if name == "beta22":
-        return GridDensity.from_values(t, stats.beta(2, 2).pdf(t)), 1
+        return GridDensity.from_values(t, bench_mod.Beta(2, 2).pdf(t)), 1
     if name == "bimodal":
-        vals = 0.6 * stats.beta(5, 12).pdf(t) + 0.4 * stats.beta(12, 5).pdf(t)
+        vals = 0.6 * bench_mod.Beta(5, 12).pdf(t) + 0.4 * bench_mod.Beta(12, 5).pdf(t)
         return GridDensity.from_values(t, vals), 2
     if name == "template":
         tmpl = build_template(ShapeSpec.modes(2), [0.4, 0.8], omega=0.0, n=n)

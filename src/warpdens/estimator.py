@@ -75,6 +75,11 @@ class FitConfig:
             raise ConstraintError("omega must satisfy 0 < omega < 1")
         if self.seed < 0:
             raise ConstraintError("seed must be >= 0")
+        s = self.support
+        if s is not None and not (
+            len(s) == 2 and math.isfinite(s[0]) and math.isfinite(s[1]) and s[0] < s[1]
+        ):
+            raise ConstraintError("support must be None or two finite values A < B")
 
     def j_values(self) -> list[int]:
         return list(range(self.j_min, self.j_max + 1, self.j_step))

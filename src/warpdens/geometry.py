@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .errors import DomainError, InvalidSrsfError, InvalidWarpError
 
@@ -158,7 +157,7 @@ def _deriv4(f: np.ndarray, h: float) -> np.ndarray:
 def _cumint(f: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Cumulative integral: trapezoid plus the Euler-Maclaurin h^2 correction."""
     h = t[1] - t[0]
-    base = cumulative_trapezoid(f, t, initial=0.0)
+    base = np.concatenate(([0.0], np.cumsum(np.diff(t) * (f[1:] + f[:-1]) / 2.0)))
     fp = _deriv4(f, h)
     return base - (h * h / 12.0) * (fp - fp[0])
 

@@ -4,10 +4,16 @@ import csv
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 import threading
 
 import numpy as np
 import pytest
+from scipy import stats
+
+import warpdens
 
 from warpdens import (
     BENCHMARKS,
@@ -17,7 +23,15 @@ from warpdens import (
     error_norms,
     run_benchmark,
 )
-from warpdens.bench import Trapezoid, _run_replicate, normal_mixture, write_outputs
+from warpdens.bench import (
+    Beta,
+    Laplace,
+    Normal,
+    Trapezoid,
+    _run_replicate,
+    normal_mixture,
+    write_outputs,
+)
 
 
 def small_spec(**overrides):
@@ -53,6 +67,47 @@ class TestSamplers:
         assert abs(np.trapezoid(trap.pdf(t), t) - 1.0) < 1e-6
         x = trap.sample(20000, np.random.default_rng(3))
         assert np.all((x >= 0) & (x <= 1))
+
+
+class TestComponents:
+    """The closed-form components against scipy.stats as the reference."""
+
+    CASES = [
+        (Normal(0.7, 1.3), stats.norm(0.7, 1.3), np.linspace(-12.0, 12.0, 2001)),
+        (Laplace(1.2, 0.8), stats.laplace(1.2, 0.8), np.linspace(-20.0, 20.0, 2001)),
+    ] + [
+        (Beta(a, b), stats.beta(a, b), np.linspace(-0.25, 1.25, 2001))
+        for a, b in [(9, 3), (2, 2), (5, 12), (12, 5)]
+    ]
+
+    @pytest.mark.parametrize("ours, ref, grid", CASES)
+    def test_matches_scipy(self, ours, ref, grid):
+        for size in (0, 1, 777):
+            rng_a, rng_b = np.random.default_rng(5), np.random.default_rng(5)
+            drawn = ours.rvs(size=size, random_state=rng_a)
+            assert np.array_equal(drawn, ref.rvs(size=size, random_state=rng_b))
+            assert rng_a.bit_generator.state == rng_b.bit_generator.state
+        got, want = ours.pdf(grid), ref.pdf(grid)
+        assert np.array_equal(got == 0.0, want == 0.0)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+        assert ours.mean() == ref.mean()
+
+
+def test_import_loads_no_scipy_stats_or_integrate():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(warpdens.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = (
+        "import sys, warpdens; "
+        "print(' '.join(m for m in sys.modules if m.startswith('scipy.')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        check=True,
+    ).stdout.split()
+    assert "scipy.optimize" in out
+    loaded = [m for m in out if m.startswith(("scipy.stats", "scipy.integrate"))]
+    assert loaded == []
 
 
 class TestErrorNorms:

@@ -103,6 +103,15 @@ class TestFitCommand:
         assert code == 0
         assert json.loads(out.read_text())["support"] == [-5.0, 5.0]
 
+    @pytest.mark.parametrize("support", ["-inf,5", "-5,inf", "nan,5", "5,-5"])
+    def test_invalid_support_exit_4(self, support, sample_csv, tmp_path, capsys):
+        out = tmp_path / "x.json"
+        code = main(["fit", str(sample_csv), "-o", str(out), "--modes", "1",
+                     f"--support={support}"])
+        assert code == 4
+        assert "finite values A < B" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_negative_seed_exit_4(self, sample_csv, tmp_path, capsys):
         out = tmp_path / "x.json"
         code = main(["fit", str(sample_csv), "-o", str(out), "--modes", "1",
@@ -179,6 +188,23 @@ class TestCfitCommand:
             ]
         )
         assert code == 4
+
+
+    @pytest.mark.parametrize("x0", [None, "0.1"], ids=["median", "x0"])
+    def test_non_finite_covariate_exit_2(self, x0, tmp_path, capsys):
+        rng = np.random.default_rng(4)
+        x = rng.normal(0, 1, 60)
+        x[5] = np.nan
+        src = tmp_path / "xy.csv"
+        write_xy_csv(src, x, rng.normal(0, 1, 60))
+        extra = [] if x0 is None else ["--x0", x0]
+        code = main(
+            ["cfit", str(src), "-o", str(tmp_path / "x.json"), "--modes", "1", *extra]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: covariates and responses must be finite\n"
+        )
 
 
 class TestBenchCommand:

@@ -157,6 +157,10 @@ class TestConfigValidation:
             {"omega": 2.0},
             {"omega": 0.0},
             {"seed": -1},
+            {"support": (-math.inf, 5.0)},
+            {"support": (-5.0, math.inf)},
+            {"support": (math.nan, 5.0)},
+            {"support": (5.0, -5.0)},
         ],
     )
     def test_rejected(self, change):

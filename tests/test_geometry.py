@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import cumulative_trapezoid
 
 from warpdens import (
     BasisSet,
@@ -24,6 +25,7 @@ from warpdens import (
     unit_grid,
     warp_to_coeffs,
 )
+from warpdens.geometry import _cumint, _deriv4
 
 N = 4096
 T = unit_grid(N)
@@ -239,3 +241,13 @@ def test_compose_identity():
     ident = WarpingGrid(T, T)
     out = compose(w, ident)
     assert np.max(np.abs(out.gamma - w.gamma)) < 1e-8
+
+
+@pytest.mark.parametrize("n", [5, 1024, 4097])
+def test_cumint_matches_scipy_cumulative_trapezoid(n):
+    t = unit_grid(n)
+    f = np.random.default_rng(n).uniform(0.1, 3.0, n)
+    h = t[1] - t[0]
+    fp = _deriv4(f, h)
+    want = cumulative_trapezoid(f, t, initial=0.0) - (h * h / 12.0) * (fp - fp[0])
+    assert np.array_equal(_cumint(f, t), want)
