@@ -23,7 +23,6 @@ from .errors import (
     DegenerateSampleError,
     DomainError,
     OptimizationError,
-    ShapeError,
     WarpdensError,
 )
 from .estimator import DensityEstimate, FitConfig, fit
@@ -85,14 +84,8 @@ def _read_csv_columns(path: str, ncols: int) -> np.ndarray:
 
 def _parse_shape(args) -> ShapeSpec:
     if args.shape is not None:
-        names = {"inc": "inc", "dec": "dec", "flat": "flat"}
-        pieces = []
-        for tok in args.shape.split(","):
-            tok = tok.strip().lower()
-            if tok not in names:
-                raise ShapeError(f"unknown shape piece {tok!r}")
-            pieces.append(names[tok])
-        return ShapeSpec(tuple(pieces), free_boundaries=args.free_boundaries)
+        pieces = tuple(tok.strip().lower() for tok in args.shape.split(","))
+        return ShapeSpec(pieces, free_boundaries=args.free_boundaries)
     return ShapeSpec.modes(args.modes)
 
 
@@ -246,7 +239,10 @@ def _add_fit_flags(p: _Parser) -> None:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--modes", type=int, help="number of modes M")
     group.add_argument("--shape", type=str, help='piece sequence, e.g. "inc,dec"')
-    p.add_argument("--free-boundaries", action="store_true")
+    p.add_argument(
+        "--free-boundaries", action="store_true",
+        help="free the boundary antimodes; boundary modes are always free",
+    )
     p.add_argument("--omega", type=float, default=1e-3)
     p.add_argument("--jmin", type=int, default=2)
     p.add_argument("--jmax", type=int, default=10)
@@ -309,9 +305,6 @@ def main(argv=None) -> int:
     except OptimizationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_OPTIM
-    except (DomainError, ShapeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
     except WarpdensError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN

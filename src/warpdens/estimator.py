@@ -34,9 +34,9 @@ from .templates import (
     MODE_TOL,
     GridDensity,
     ShapeSpec,
-    _reference_level,
     build_template,
     count_modes,
+    level_heights,
 )
 
 _AIC_TIE = 1e-9
@@ -149,13 +149,15 @@ class _Objective:
 
     ``value_and_grad`` adds the reverse pass in theta = (c, u).  The
     coefficient vector c is pulled back onto the feasible ball by radial
-    projection when it leaves it.  Each free mode is exp(span * tanh(u /
-    span)), within 1 / (2 rel_gap) of the first mode (pinned at 1) and of
-    the others.  Each antimode is sigmoid(u) * (cap - gap): cap is the
-    lower neighboring mode, and gap is rel_gap times the tallest mode,
-    _VISIBLE times the least rise over one piece that ``count_modes``
-    resolves.  Only a boundary mode pinned at omega (``dec,inc``) can be a
-    cap below 2 gap; its antimode is sigmoid(u) * cap / 2 instead.
+    projection when it leaves it.  The heights follow ``ShapeSpec``'s
+    layout: the first mode is 1, the free levels come from u, and the
+    other levels (boundary antimodes) sit at omega.  Each free mode is
+    exp(span * tanh(u / span)), within 1 / (2 rel_gap) of the first mode
+    and of the others; every mode is free or the first one.  Each free
+    antimode is sigmoid(u) * (cap - gap): cap is the lower neighboring
+    mode, and gap is rel_gap times the tallest mode, _VISIBLE times the
+    least rise over one piece that ``count_modes`` resolves.  The mode
+    bound keeps every cap at or above 2 gap.
 
     One evaluation is a few dozen numpy calls on arrays of the sample and
     grid sizes, so it is bound by the cost of each call: the height map,
@@ -184,28 +186,21 @@ class _Objective:
         self.n_pieces = shape.n_pieces
         self.rel_gap = _VISIBLE * MODE_TOL * (n_grid - 1) / shape.n_pieces
         levels = shape.levels()
-        self.level_of_knot = np.empty(shape.n_pieces + 1, dtype=int)
-        for li, lv in enumerate(levels):
-            for kn in lv.knots:
-                self.level_of_knot[kn] = li
-        self.knot_levels = self.level_of_knot.tolist()
+        self.knot_levels = shape.knot_levels()
         self.monotone = [  # (piece, +1 rising or -1 falling) for non-flat pieces
             (k, 1 if p == "inc" else -1)
             for k, p in enumerate(shape.pieces)
             if p != "flat"
         ]
 
-        ref = _reference_level(levels)
-        self.base_heights = [omega] * len(levels)
-        self.base_heights[ref] = 1.0
-        self.slots = [  # (level_index, role) for free levels, left to right
-            (i, lv.role)
-            for i, lv in enumerate(levels)
-            if i != ref and (shape.free_boundaries or not lv.boundary)
-        ]
-        self.slot_levels = np.array([i for i, _ in self.slots], dtype=int)
-        self.modes = [
-            (k, i) for k, (i, role) in enumerate(self.slots) if role == "high"
+        self.free = shape.free_levels()  # the level of each height parameter
+        # free levels start at omega, below the first mode, so ``heights``
+        # finds the tallest mode before it sets the antimodes
+        self.base_heights = level_heights(
+            shape, [omega] * len(self.free), omega
+        ).tolist()
+        self.modes = [  # (parameter, level)
+            (k, i) for k, i in enumerate(self.free) if levels[i].role == "high"
         ]
         # free modes lie within exp(+-span) of 1; span halves with two or more,
         # so they stay within 1 / (2 rel_gap) of each other; span > 0 needs this
@@ -213,12 +208,12 @@ class _Objective:
             raise ConstraintError("n_grid too fine for count_modes to see a dip")
         self.span = math.log(0.5 / self.rel_gap) / min(2, max(1, len(self.modes)))
         last = len(levels) - 1
-        self.antimodes = [  # (slot, level, left and right neighbor levels)
+        self.antimodes = [  # (parameter, level, left and right neighbor levels)
             (k, i, i - 1 if i > 0 else 1, i + 1 if i < last else last - 1)
-            for k, (i, role) in enumerate(self.slots)
-            if role == "low"
+            for k, i in enumerate(self.free)
+            if levels[i].role == "low"
         ]
-        self.n_params = j + len(self.slots)
+        self.n_params = j + len(self.free)
 
         # fixed sample positions in grid coordinates
         z = np.asarray(z, float)
@@ -240,7 +235,7 @@ class _Objective:
     def heights(self, u: np.ndarray):
         """Level heights (an ndarray) from the height parameters u.
 
-        Also returns dh/du per slot and, per antimode, (level, capping
+        Also returns dh/du per parameter and, per antimode, (level, capping
         level, dh/dcap, tallest level, dh/dtallest) for the reverse pass.
         """
         u = u.tolist()
@@ -257,13 +252,8 @@ class _Objective:
         for k, i, left, right in self.antimodes:
             cap = left if heights[left] <= heights[right] else right
             sig = 1.0 / (1.0 + math.exp(-u[k]))
-            gap = self.rel_gap * heights[top]
-            if gap < 0.5 * heights[cap]:
-                heights[i] = sig * (heights[cap] - gap)
-                links.append((i, cap, sig, top, -sig * self.rel_gap))
-            else:
-                heights[i] = 0.5 * sig * heights[cap]
-                links.append((i, cap, 0.5 * sig, top, 0.0))
+            heights[i] = sig * (heights[cap] - self.rel_gap * heights[top])
+            links.append((i, cap, sig, top, -sig * self.rel_gap))
             dh_du[k] = heights[i] * (1.0 - sig) * inside[k]
         return np.array(heights), dh_du, links
 
@@ -345,7 +335,7 @@ class _Objective:
         for i, cap, dh_dcap, top, dh_dtop in links:
             h_bar[cap] += h_bar[i] * dh_dcap
             h_bar[top] += h_bar[i] * dh_dtop
-        u_grad = [-h_bar[i] * d for (i, _), d in zip(self.slots, dh_du)]
+        u_grad = [-h_bar[i] * d for i, d in zip(self.free, dh_du)]
 
         # then gamma back through the warp; x_bar = d loglik / d s, and
         # s = pieces * gamma, gamma = cum / total fold into ``scale``
@@ -441,13 +431,13 @@ def _random_start(obj: _Objective, rng: np.random.Generator) -> np.ndarray:
     direction /= max(np.linalg.norm(direction), 1e-12)
     radius = (math.pi / 2.0) * rng.uniform() ** (1.0 / obj.j)
     theta[: obj.j] = radius * direction
-    for k, (_, role) in enumerate(obj.slots):
-        frac = math.exp(rng.uniform(math.log(0.1), 0.0))  # log-uniform(0.1, 1)
-        if role == "high":
-            theta[obj.j + k] = math.log(0.5 + frac)
-        else:
-            s = min(frac, 1.0 - 1e-9)
-            theta[obj.j + k] = math.log(s / (1.0 - s))
+    # log-uniform(0.1, 1), one draw per height parameter, left to right
+    fracs = [math.exp(rng.uniform(math.log(0.1), 0.0)) for _ in obj.free]
+    for k, _ in obj.modes:
+        theta[obj.j + k] = math.log(0.5 + fracs[k])
+    for k, *_ in obj.antimodes:
+        s = min(fracs[k], 1.0 - 1e-9)
+        theta[obj.j + k] = math.log(s / (1.0 - s))
     return theta
 
 
@@ -492,9 +482,9 @@ def fit_fixed_j(
     for _, _, theta in sorted(runs, key=lambda run: run[:2]):
         c = obj.project(theta[:j])[0]
         heights = obj.heights(theta[j:])[0]
-        ll, p = obj.forward(c, heights[obj.level_of_knot])[:2]
+        ll, p = obj.forward(c, heights[obj.knot_levels])[:2]
         if count_modes(GridDensity(obj.t, p)) == n_modes:
-            return CoefficientVector(c), heights[obj.slot_levels], ll
+            return CoefficientVector(c), heights[obj.free], ll
     raise OptimizationError(f"J={j}: no restart's grid density has {n_modes} modes")
 
 

@@ -2,11 +2,12 @@
 
 A "shape" is an ordered sequence of increasing / decreasing / flat pieces
 (M modes expand to (inc, dec) repeated M times).  A template is the
-piecewise-linear function on [0,1] with equal-width pieces, boundary
-floor omega, first mode pinned at height 1, and the remaining critical
-heights given by the height-ratio vector.  Warping a template by any
-diffeomorphism and renormalizing preserves both the mode count and the
-height-ratio vector, which is what makes the shape constraint exact.
+piecewise-linear function on [0,1] with equal-width pieces, first mode
+pinned at height 1, boundary antimodes at the floor omega, and every other
+critical height given by the height-ratio vector (``ShapeSpec`` states
+which levels those are).  Warping a template by any diffeomorphism and
+renormalizing preserves both the mode count and the height-ratio vector,
+which is what makes the shape constraint exact.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ from .geometry import DEFAULT_GRID_SIZE, WarpingGrid, unit_grid
 
 Piece = Literal["inc", "dec", "flat"]
 
-#: Relative tolerance for critical-point detection on grid densities.
+#: Relative tolerance for critical-point detection on grid densities; the
+#: search's visible antimode gap (``_Objective.rel_gap``) is derived from it.
 MODE_TOL = 1e-6
 
 
@@ -29,8 +31,10 @@ MODE_TOL = 1e-6
 class ShapeSpec:
     """An ordered sequence of monotone pieces, optionally with free boundaries.
 
-    With ``free_boundaries`` the boundary heights become parameters of the
-    height-ratio vector instead of being pinned at the template floor.
+    The height-ratio vector sets every critical level except the first
+    mode, which is pinned at 1, and the boundary antimodes, which sit at
+    the template floor omega.  With ``free_boundaries`` the boundary
+    antimodes are set by it too; boundary modes always are.
     """
 
     pieces: tuple[Piece, ...]
@@ -95,16 +99,27 @@ class ShapeSpec:
     def n_modes(self) -> int:
         return sum(1 for lv in self.levels() if lv.role == "high")
 
+    def first_mode(self) -> int:
+        """Index of the first local maximum: its height is pinned at 1."""
+        return next(i for i, lv in enumerate(self.levels()) if lv.role == "high")
+
+    def free_levels(self) -> list[int]:
+        """Indices of the levels the height-ratio vector sets, left to right."""
+        first = self.first_mode()
+        return [
+            i
+            for i, lv in enumerate(self.levels())
+            if i != first
+            and (lv.role == "high" or not lv.boundary or self.free_boundaries)
+        ]
+
+    def knot_levels(self) -> list[int]:
+        """Index of each knot's critical level, left to right."""
+        return [i for i, lv in enumerate(self.levels()) for _ in lv.knots]
+
     def n_lambda(self) -> int:
         """Length of the height-ratio vector for this shape."""
-        levels = self.levels()
-        free = len(levels) - 1  # all but the reference mode
-        if not self.free_boundaries:
-            ref = _reference_level(levels)
-            free -= sum(
-                1 for i, lv in enumerate(levels) if lv.boundary and i != ref
-            )
-        return free
+        return len(self.free_levels())
 
 
 @dataclass(frozen=True)
@@ -114,35 +129,23 @@ class _Level:
     boundary: bool
 
 
-def _reference_level(levels: Sequence[_Level]) -> int:
-    """Index of the first local maximum: its height is pinned at 1."""
-    for i, lv in enumerate(levels):
-        if lv.role == "high":
-            return i
-    raise ShapeError("shape has no mode")
-
-
 def level_heights(shape: ShapeSpec, lam: np.ndarray, omega: float) -> np.ndarray:
-    """Expand a height-ratio vector into one height per critical level."""
+    """Expand a height-ratio vector into one height per critical level.
+
+    The first mode is 1, ``shape.free_levels()`` take lam in order and
+    the remaining levels (boundary antimodes) sit at omega.
+    """
     lam = np.atleast_1d(np.asarray(lam, float))
-    levels = shape.levels()
-    if lam.size != shape.n_lambda():
+    free = shape.free_levels()
+    if lam.size != len(free):
         raise ConstraintError(
-            f"height-ratio vector has length {lam.size}, expected {shape.n_lambda()}"
+            f"height-ratio vector has length {lam.size}, expected {len(free)}"
         )
     if np.any(lam <= 0):
         raise ConstraintError("height ratios must be strictly positive")
-    ref = _reference_level(levels)
-    heights = np.empty(len(levels))
-    k = 0
-    for i, lv in enumerate(levels):
-        if i == ref:
-            heights[i] = 1.0
-        elif lv.boundary and not shape.free_boundaries:
-            heights[i] = omega
-        else:
-            heights[i] = lam[k]
-            k += 1
+    heights = np.full(len(shape.levels()), float(omega))
+    heights[shape.first_mode()] = 1.0
+    heights[free] = lam
     return heights
 
 
@@ -171,12 +174,7 @@ def build_template(
     piece directions (the feasibility set of the height-ratio vector).
     """
     lam = np.atleast_1d(np.asarray(lam, float))
-    heights = level_heights(shape, lam, omega)
-    levels = shape.levels()
-    knot_heights = np.empty(shape.n_pieces + 1)
-    for lv, h in zip(levels, heights):
-        for kn in lv.knots:
-            knot_heights[kn] = h
+    knot_heights = level_heights(shape, lam, omega)[shape.knot_levels()]
     for i, p in enumerate(shape.pieces):
         lo, hi = knot_heights[i], knot_heights[i + 1]
         if p == "inc" and not hi > lo:
@@ -225,13 +223,13 @@ def group_action(p: GridDensity | TemplateFunction, w: WarpingGrid) -> GridDensi
     return GridDensity.from_values(t, values)
 
 
-def _critical_runs(p: np.ndarray, rel_tol: float = MODE_TOL):
+def _critical_runs(p: np.ndarray):
     """Plateau-merged runs of strict slope sign: list of (sign, start, end).
 
-    Differences below rel_tol * max|p| count as flat and merge into the
+    Differences below MODE_TOL * max|p| count as flat and merge into the
     neighboring runs.
     """
-    tol = rel_tol * float(np.max(np.abs(p)))
+    tol = MODE_TOL * float(np.max(np.abs(p)))
     d = np.diff(p)
     sign = np.where(d > tol, 1, np.where(d < -tol, -1, 0))
     runs = []
@@ -245,14 +243,14 @@ def _critical_runs(p: np.ndarray, rel_tol: float = MODE_TOL):
     return runs
 
 
-def critical_points(p: GridDensity, rel_tol: float = MODE_TOL):
+def critical_points(p: GridDensity):
     """Interior and boundary extrema after plateau merging.
 
     Returns a list of (index, kind) with kind in {"max", "min"}; a flat
     plateau contributes a single extremum at its best grid point.
     """
     vals = np.asarray(p.p, float)
-    runs = _critical_runs(vals, rel_tol)
+    runs = _critical_runs(vals)
     out = []
     if not runs:
         return out
@@ -292,14 +290,12 @@ def _refined_height(vals: np.ndarray, i: int) -> float:
     return float(b - 0.25 * (a - c) * offset)
 
 
-def count_modes(p: GridDensity, rel_tol: float = MODE_TOL) -> int:
+def count_modes(p: GridDensity) -> int:
     """Number of local maxima, counting each plateau once."""
-    return sum(1 for _, kind in critical_points(p, rel_tol) if kind == "max")
+    return sum(1 for _, kind in critical_points(p) if kind == "max")
 
 
-def height_ratios_of(
-    p: GridDensity, rel_tol: float = MODE_TOL, refine: bool = False
-) -> np.ndarray:
+def height_ratios_of(p: GridDensity, refine: bool = False) -> np.ndarray:
     """Heights of interior critical points relative to the first mode.
 
     Ordered left to right, skipping the first mode itself (which defines
@@ -308,9 +304,7 @@ def height_ratios_of(
     densities whose extrema fall between grid points.
     """
     n = p.p.size
-    interior = [
-        (i, kind) for i, kind in critical_points(p, rel_tol) if 0 < i < n - 1
-    ]
+    interior = [(i, kind) for i, kind in critical_points(p) if 0 < i < n - 1]
     first_max = next((k for k, (_, kind) in enumerate(interior) if kind == "max"), None)
     if first_max is None:
         raise ShapeError("density has no interior mode")
@@ -322,7 +316,7 @@ def height_ratios_of(
 
 
 def oracle_reconstruct_warp(
-    p0: GridDensity, shape: ShapeSpec, rel_tol: float = MODE_TOL
+    p0: GridDensity, shape: ShapeSpec
 ) -> tuple[WarpingGrid, np.ndarray]:
     """Constructively recover the warp carrying the shape's template to p0.
 
@@ -330,15 +324,23 @@ def oracle_reconstruct_warp(
     template piece is linear, hence invertible in closed form; the warp
     is gamma(x) = piece_inverse(p0(x) / first_mode_height).  Applying the
     group action of the omega = 0 template with the recovered heights
-    reproduces p0 up to grid interpolation.
+    reproduces p0 up to grid interpolation.  The shape needs strictly
+    monotone pieces and boundary antimodes pinned at the floor, so that
+    the height-ratio vector holds the interior critical heights only.
     """
     if any(pc == "flat" for pc in shape.pieces):
         raise ShapeError("constructive reconstruction needs strictly monotone pieces")
+    if shape.free_boundaries:
+        raise ShapeError("constructive reconstruction assumes pinned boundaries")
+    levels = shape.levels()
+    if levels[0].role == "high" or levels[-1].role == "high":
+        raise ShapeError(
+            "constructive reconstruction needs a shape that rises from its left "
+            "end and falls to its right end (no boundary mode)"
+        )
     vals = np.asarray(p0.p, float)
     n = vals.size
-    crit = critical_points(p0, rel_tol)
-    interior = [(i, k) for i, k in crit if 0 < i < n - 1]
-    levels = shape.levels()
+    interior = [(i, k) for i, k in critical_points(p0) if 0 < i < n - 1]
     expected = [lv.role for lv in levels][1:-1]
     got = ["high" if k == "max" else "low" for _, k in interior]
     if got != expected:
@@ -351,8 +353,6 @@ def oracle_reconstruct_warp(
     lam = np.array(
         [vals[i] / h1 for k, (i, _) in enumerate(interior) if k != first_max]
     )
-    if shape.free_boundaries:
-        raise ShapeError("constructive reconstruction assumes pinned boundaries")
 
     tmpl = build_template(shape, lam, omega=0.0, n=n)
     knots, kh = tmpl.knots, tmpl.knot_heights

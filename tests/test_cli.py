@@ -78,6 +78,16 @@ class TestFitCommand:
         )
         assert code == 64
 
+    def test_unknown_shape_piece_exit_4(self, sample_csv, tmp_path, capsys):
+        code = main(
+            [
+                "fit", str(sample_csv), "-o", str(tmp_path / "x.json"),
+                "--shape", "inc,up",
+            ]
+        )
+        assert code == 4
+        assert "unknown piece kind 'up'" in capsys.readouterr().err
+
     def test_missing_shape_flags(self, sample_csv, tmp_path):
         code = main(["fit", str(sample_csv), "-o", str(tmp_path / "x.json")])
         assert code == 64

@@ -33,7 +33,6 @@ from warpdens import (
 from warpdens import estimator
 from warpdens.estimator import _U_CLIP, _kernel, _Objective, _random_start
 from warpdens.geometry import COEFF_RADIUS
-from warpdens.templates import _reference_level
 
 
 class TestSupport:
@@ -185,10 +184,35 @@ GRADIENT_SHAPES = [
     ShapeSpec(("dec",), free_boundaries=True),
     ShapeSpec(("inc", "flat", "dec")),
     ShapeSpec(("inc", "flat", "dec"), free_boundaries=True),
-    # a boundary mode pinned at omega caps an antimode below the visible gap
+    # a free boundary mode next to the first mode, or after it
     ShapeSpec(("dec", "inc")),
     ShapeSpec(("inc", "dec", "inc")),
 ]
+
+# the levels the height-ratio vector sets, and each knot's level
+LAYOUTS = {
+    ShapeSpec.modes(1): ([], [0, 1, 2]),
+    ShapeSpec.modes(2): ([2, 3], [0, 1, 2, 3, 4]),
+    ShapeSpec.modes(3): ([2, 3, 4, 5], list(range(7))),
+    ShapeSpec(("dec",), free_boundaries=True): ([1], [0, 1]),
+    ShapeSpec(("inc", "flat", "dec")): ([], [0, 1, 1, 2]),
+    ShapeSpec(("inc", "flat", "dec"), free_boundaries=True): ([0, 2], [0, 1, 1, 2]),
+    ShapeSpec(("dec", "inc")): ([1, 2], [0, 1, 2]),
+    ShapeSpec(("inc", "dec", "inc")): ([2, 3], [0, 1, 2, 3]),
+    ShapeSpec.modes(4): ([2, 3, 4, 5, 6, 7], list(range(9))),
+}
+
+
+@pytest.mark.parametrize(
+    "shape",
+    GRADIENT_SHAPES + [ShapeSpec.modes(4)],
+    ids=lambda s: ",".join(s.pieces) + (" free" if s.free_boundaries else ""),
+)
+def test_height_layout(shape):
+    free, knots = LAYOUTS[shape]
+    assert shape.free_levels() == free
+    assert shape.knot_levels() == knots
+    assert shape.n_lambda() == len(free)
 
 
 class TestObjective:
@@ -205,21 +229,20 @@ class TestObjective:
         ),
     )
     def test_height_map_keeps_modes_visible(self, shape, u):
-        # bounded modes: no free mode is more than 1 / (2 rel_gap) times
-        # another or the first one, so unless a boundary mode is pinned at
-        # omega the unwarped template shows every mode and antimode
+        # every mode is free or the first one, and no free mode is more than
+        # 1 / (2 rel_gap) times another or the first one, so the unwarped
+        # template shows every mode and antimode
         obj = _Objective(np.array([0.5]), shape, 1e-3, 2, 1024, None)
         heights = obj.heights(np.array(u[: obj.n_params - 2]))[0]
-        bounded = [i for _, i in obj.modes] + [_reference_level(shape.levels())]
-        ratio = heights[bounded].max() / heights[bounded].min()
+        modes = [i for i, lv in enumerate(shape.levels()) if lv.role == "high"]
+        ratio = heights[modes].max() / heights[modes].min()
         assert ratio <= (0.5 / obj.rel_gap) * (1.0 + 1e-12)
         cfg = FitConfig(shape=shape, n_grid=1024)
-        lam = heights[obj.slot_levels]
+        lam = heights[obj.free]
         assert np.all(lam > 0.0)
         ll, dens = _kernel(np.array([0.5]), np.zeros(2), lam, cfg, None)
         assert math.isfinite(ll)
-        if len(bounded) == shape.n_modes:
-            assert count_modes(dens) == shape.n_modes
+        assert count_modes(dens) == shape.n_modes
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(
@@ -282,7 +305,7 @@ class TestObjective:
         assert np.array_equal(g_a, g_kept)
 
         def density(theta):
-            kh = obj.heights(theta[4:])[0][obj.level_of_knot]
+            kh = obj.heights(theta[4:])[0][obj.knot_levels]
             return obj.forward(obj.project(theta[:4])[0], kh)[1]
 
         p_a = density(theta_a)
@@ -299,9 +322,10 @@ class TestObjective:
         shape = ShapeSpec.modes(m)
         obj = _Objective(np.array([0.5]), shape, 1e-3, 2, 1024, None)
         theta = np.zeros(obj.n_params)
-        for k, (_, role) in enumerate(obj.slots):
-            theta[2 + k] = 50.0 if role == "low" else u_mode
-        lam = obj.heights(theta[2:])[0][obj.slot_levels]
+        theta[2:] = u_mode
+        for k, *_ in obj.antimodes:
+            theta[2 + k] = 50.0
+        lam = obj.heights(theta[2:])[0][obj.free]
         cfg = FitConfig(shape=shape, n_grid=1024)
         dens = _kernel(np.array([0.5]), theta[:2], lam, cfg, None)[1]
         assert count_modes(dens) == m
@@ -328,7 +352,7 @@ class TestObjective:
         theta[j:] = rng.uniform(-6.0, 6.0, obj.n_params - j)
         c = theta[:j]
         heights = obj.heights(theta[j:])[0]
-        lam = heights[obj.slot_levels]
+        lam = heights[obj.free]
 
         f = obj.value_and_grad(theta)[0]
         assert math.isfinite(f)
@@ -336,7 +360,7 @@ class TestObjective:
         ll = log_likelihood(z, CoefficientVector(c), lam, cfg, w)
         assert abs(ll + f) <= 1e-9 * abs(ll)
 
-        p = obj.forward(c, heights[obj.level_of_knot])[1]
+        p = obj.forward(c, heights[obj.knot_levels])[1]
         assert abs(np.trapezoid(p, obj.t) - 1.0) <= 1e-6
         # the kernel integrates gamma by the plain trapezoid rule and
         # coeffs_to_warp adds the Euler-Maclaurin h^2 correction, so the two
@@ -523,13 +547,25 @@ class TestFit:
             fit(x, cfg)
 
     @pytest.mark.parametrize("pieces", [("dec", "inc"), ("inc", "dec", "inc")])
-    def test_mode_pinned_at_omega(self, pieces):
-        # the right boundary mode is pinned at omega, below the gap the
-        # other antimodes keep; its antimode must stay positive
+    def test_boundary_mode_is_free(self, pieces):
+        # the right boundary mode is a free height: its antimode stays
+        # positive and below both neighboring modes
         x = np.random.default_rng(0).beta(0.6, 2.5, 400)
         est = fit(x, FitConfig(shape=ShapeSpec(pieces), restarts=4, j_max=4))
         assert math.isfinite(est.loglik)
-        assert 0.0 < est.lambda_hat[0] < 1e-3
+        antimode, boundary_mode = est.lambda_hat
+        assert 0.0 < antimode < min(1.0, boundary_mode)
+        assert count_modes(est.unit_density()) == 2
+
+    def test_u_shaped_data_fit_with_free_right_mode(self):
+        # symmetric U-shaped data: the right mode must be able to match the
+        # left one rather than sit at the floor omega
+        x = np.random.default_rng(1).beta(0.6, 0.6, 1000)
+        cfg = FitConfig(
+            shape=ShapeSpec(("dec", "inc")), support=(0.0, 1.0), restarts=4, seed=1
+        )
+        est = fit(x, cfg)
+        assert est.p[-1] / est.p[0] > 0.5
         assert count_modes(est.unit_density()) == 2
 
     def test_bimodal_recovery(self):

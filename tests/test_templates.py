@@ -207,3 +207,15 @@ class TestOracle:
         p = GridDensity.from_values(t, bimodal_beta_mix(t))
         with pytest.raises(ShapeError):
             oracle_reconstruct_warp(p, ShapeSpec.modes(1))
+
+    @pytest.mark.parametrize(
+        "pieces", [("dec",), ("dec", "inc"), ("inc", "dec", "inc")], ids=",".join
+    )
+    def test_boundary_mode_rejected(self, pieces):
+        # the oracle recovers interior critical heights only, so a template
+        # of the very shape is refused with a ShapeError
+        shape = ShapeSpec(pieces)
+        lam = [0.3, 0.8][: shape.n_lambda()]
+        p = template_density(build_template(shape, lam, omega=0.01, n=N))
+        with pytest.raises(ShapeError, match="boundary mode"):
+            oracle_reconstruct_warp(p, shape)
