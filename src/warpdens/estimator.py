@@ -3,9 +3,10 @@
 The density estimate is the warped, renormalized template
 g(gamma_c(t)) / integral g(gamma_c(t)) dt, maximized jointly over the
 coefficient vector c (restricted to the ball of radius 2*pi) and the
-height-ratio vector.  Optimization is multi-start L-BFGS-B on an
-unconstrained reparameterization, driven by the analytic gradient of the
-likelihood; the basis dimension J is swept and the best AIC wins.
+height-ratio vector.  Optimization is multi-start limited-memory BFGS
+(``lbfgs.minimize``, the unbounded case of L-BFGS-B) on an unconstrained
+reparameterization, driven by the analytic gradient of the likelihood; the
+basis dimension J is swept and the best AIC wins.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import (
     ConstraintError,
@@ -30,6 +30,7 @@ from .geometry import (
     coeffs_to_warp,  # noqa: F401  unused; the traced benchmark wraps this name
     fourier_basis,
 )
+from .lbfgs import minimize
 from .templates import (
     MODE_TOL,
     GridDensity,
@@ -145,7 +146,7 @@ class _Objective:
     pass over the samples and the grid together, and the trapezoid
     normalizer.  Every likelihood and density this module reports or
     checks comes from it, so the reported likelihood is the function
-    L-BFGS-B maximized.
+    the search maximized.
 
     ``value_and_grad`` adds the reverse pass in theta = (c, u).  The
     coefficient vector c is pulled back onto the feasible ball by radial
@@ -166,7 +167,7 @@ class _Objective:
     samples, then on the grid), ``wbar``, ``cum`` and ``seg`` live across
     calls; the tape holds views into them that are valid until the next
     call.  The returned density and gradient are fresh arrays on every
-    call, because L-BFGS-B keeps the previous gradient.
+    call, because the search keeps the previous gradient.
     """
 
     def __init__(
@@ -448,13 +449,15 @@ def fit_fixed_j(
     seed: int,
     weights: np.ndarray | None = None,
 ) -> tuple[CoefficientVector, np.ndarray, float]:
-    """Best local optimum with the requested shape across L-BFGS-B runs.
+    """Best local optimum with the requested shape across L-BFGS runs.
 
-    Each run follows the analytic likelihood gradient.  Start 0 is
-    deterministic (identity warp, midpoint-feasible heights); the remaining
-    starts draw from seeded per-restart streams.  ``count_modes`` checks
-    the finite results once each, best objective first (ties to the
-    earliest restart), and the first with the requested modes is returned.
+    Each run is ``lbfgs.minimize`` on the analytic likelihood gradient; a
+    start where the objective is not finite ends at fun = inf and is
+    dropped.  Start 0 is deterministic (identity warp, midpoint-feasible
+    heights); the remaining starts draw from seeded per-restart streams.
+    ``count_modes`` checks the finite results once each, best objective
+    first (ties to the earliest restart), and the first with the requested
+    modes is returned.
     """
     z = np.asarray(z, float)
     obj = _Objective(z, cfg.shape, cfg.omega, j, cfg.n_grid, weights)
@@ -466,13 +469,7 @@ def fit_fixed_j(
 
     runs = []
     for r, theta0 in enumerate(starts):
-        res = minimize(
-            obj.value_and_grad,
-            theta0,
-            jac=True,
-            method="L-BFGS-B",
-            options={"maxiter": cfg.maxiter},
-        )
+        res = minimize(obj.value_and_grad, theta0, options={"maxiter": cfg.maxiter})
         if math.isfinite(res.fun):
             runs.append((float(res.fun), r, res.x))
     if not runs:

@@ -290,7 +290,7 @@ class TestObjective:
                 assert min(abs(fwd - g[k]), abs(back - g[k])) <= tol, k
 
     def test_results_survive_later_calls(self):
-        # the kernel reuses its work buffers from call to call; L-BFGS-B
+        # the kernel reuses its work buffers from call to call; the search
         # keeps the previous gradient, and callers keep the density
         z = np.random.default_rng(13).beta(2.0, 2.0, 300)
         obj = _Objective(z, ShapeSpec.modes(2), 1e-3, 4, 1024, None)
@@ -418,7 +418,7 @@ class TestFitFixedJ:
 
     def test_falls_back_to_next_ranked_restart(self, monkeypatch):
         # the best restart's density is rejected; the second-ranked restart
-        # is returned as L-BFGS-B left it, not shrunk towards c = 0
+        # is returned as the search left it, not shrunk towards c = 0
         real_count, real_minimize = estimator.count_modes, estimator.minimize
         calls, runs = [], []
 

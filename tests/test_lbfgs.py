@@ -1,0 +1,102 @@
+"""Tests for the in-repo limited-memory BFGS."""
+
+import math
+
+import numpy as np
+import pytest
+from scipy.optimize import minimize as scipy_minimize
+from scipy.optimize import rosen, rosen_der
+
+from warpdens.lbfgs import GTOL, minimize
+
+
+def rosenbrock(x):
+    return rosen(x), rosen_der(x)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_convex_quadratic_reaches_its_minimizer(seed):
+    # f* = 0 at x*; the search stops on its gradient rule, which bounds the
+    # distance to x* by sqrt(n) GTOL / (smallest eigenvalue)
+    rng = np.random.default_rng(seed)
+    n = 6
+    q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    a = q @ np.diag(np.linspace(1.0, 10.0, n)) @ q.T
+    x_star = rng.standard_normal(n)
+    res = minimize(lambda x: (0.5 * (x - x_star) @ a @ (x - x_star), a @ (x - x_star)),
+                   np.zeros(n), options={"maxiter": 200})
+    assert 0.0 <= res.fun <= 1e-8
+    assert np.abs(res.x - x_star).max() <= math.sqrt(n) * GTOL
+    assert "gtol" in res.message
+    assert res.nit < 30 and res.nfev >= res.nit + 1
+
+
+@pytest.mark.parametrize(
+    "x0", [[-1.2, 1.0], [2.0, 2.0, 2.0, 2.0], [-1.0, 0.5, 1.5, -0.5, 0.3]]
+)
+def test_rosenbrock_matches_scipy_lbfgsb(x0):
+    # no bounds: the same direction, line search and stopping rules
+    x0 = np.array(x0)
+    ours = minimize(rosenbrock, x0, options={"maxiter": 1000})
+    ref = scipy_minimize(rosenbrock, x0, jac=True, method="L-BFGS-B",
+                         options={"maxiter": 1000})
+    assert abs(ours.fun - ref.fun) <= 1e-6
+    np.testing.assert_allclose(ours.x, ref.x, rtol=0.0, atol=1e-6)
+    assert "ftol" in ours.message or "gtol" in ours.message
+
+
+def test_maxiter_binds_exactly():
+    res = minimize(rosenbrock, np.array([-1.2, 1.0]), options={"maxiter": 7})
+    assert res.nit == 7
+    assert "maxiter" in res.message
+    assert res.fun < rosenbrock(np.array([-1.2, 1.0]))[0]
+
+
+def test_infinite_past_a_boundary_never_ends_infinite():
+    # minimum of (x - 3)^2 beyond the domain x < 1: the search has to stay
+    # inside and may only approach the boundary
+    def fun(x):
+        if x[0] >= 1.0:
+            return math.inf, np.zeros(1)
+        return (x[0] - 3.0) ** 2, np.array([2.0 * (x[0] - 3.0)])
+
+    for x0 in (0.0, 0.9, -5.0):
+        res = minimize(fun, np.array([x0]), options={"maxiter": 100})
+        assert math.isfinite(res.fun)
+        assert res.x[0] < 1.0
+        assert res.fun <= fun(np.array([x0]))[0]
+        assert res.fun == fun(res.x)[0]
+
+
+def test_non_finite_start_returns_inf_without_raising():
+    calls = []
+
+    def fun(x):
+        calls.append(x)
+        return math.inf, np.zeros_like(x)
+
+    res = minimize(fun, np.ones(3), options={"maxiter": 10})
+    assert res.fun == math.inf
+    assert (res.nfev, res.nit) == (1, 0) and len(calls) == 1
+    np.testing.assert_array_equal(res.x, np.ones(3))
+
+
+def test_zero_gradient_start_stops_at_once():
+    res = minimize(lambda x: (float(x @ x), 2.0 * x), np.zeros(2),
+                   options={"maxiter": 10})
+    assert (res.nit, res.nfev, res.fun) == (0, 1, 0.0)
+
+
+def test_runs_are_bit_identical():
+    x0 = np.array([-1.0, 0.5, 1.5, -0.5, 0.3, 2.0, -2.0, 0.1, 0.7, -0.9, 1.1, 0.0])
+    a = minimize(rosenbrock, x0, options={"maxiter": 500})
+    b = minimize(rosenbrock, x0.copy(), options={"maxiter": 500})
+    assert a.x.tobytes() == b.x.tobytes()
+    assert (a.fun, a.nfev, a.nit, a.message) == (b.fun, b.nfev, b.nit, b.message)
+    assert a.nit > 10  # the memory of 10 pairs has been cycled
+
+
+def test_x0_is_not_modified():
+    x0 = np.array([-1.2, 1.0])
+    minimize(rosenbrock, x0, options={"maxiter": 50})
+    np.testing.assert_array_equal(x0, [-1.2, 1.0])
