@@ -29,6 +29,7 @@ from .geometry import (
     CoefficientVector,
     coeffs_to_warp,  # noqa: F401  unused; the traced benchmark wraps this name
     fourier_basis,
+    min_grid_size,
 )
 from .lbfgs import minimize
 from .templates import (
@@ -44,34 +45,32 @@ _AIC_TIE = 1e-9
 _U_CLIP = 30.0  # height parameters are clipped here (sigmoid(-30) ~ 1e-13)
 _VISIBLE = 4.0  # antimode depth in multiples of the least rise count_modes sees
 _PROJECTED_RADIUS = COEFF_RADIUS - 1e-6
+J_STEP = 2  # the J sweep adds one sin/cos pair at a time
+MAXITER = 400  # L-BFGS iterations per start
 
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Settings for a density fit."""
+    """Settings for a density fit: J steps by ``J_STEP``, each start runs at
+    most ``MAXITER`` iterations, and n_grid >= ``min_grid_size(j_max)``."""
 
     shape: ShapeSpec
     j_min: int = 2
     j_max: int = 10
-    j_step: int = 2
     omega: float = 1e-3
     restarts: int = 16
     n_grid: int = DEFAULT_GRID_SIZE
     seed: int = 0
     support: tuple[float, float] | None = None  # None => estimate from data
-    maxiter: int = 400
 
     def __post_init__(self):
         if self.j_min < 1 or self.j_min > self.j_max:
             raise ConstraintError("need 1 <= j_min <= j_max")
-        if self.j_step < 1:
-            raise ConstraintError("j_step must be >= 1")
         if self.restarts < 1:
             raise ConstraintError("restarts must be >= 1")
-        if self.maxiter < 1:
-            raise ConstraintError("maxiter must be >= 1")
-        if self.n_grid < 5:
-            raise ConstraintError("n_grid must be >= 5")
+        need = max(5, min_grid_size(self.j_max))
+        if self.n_grid < need:
+            raise ConstraintError(f"n_grid must be >= {need} at j_max={self.j_max}")
         if not 0.0 < self.omega < 1.0:
             raise ConstraintError("omega must satisfy 0 < omega < 1")
         if self.seed < 0:
@@ -83,7 +82,7 @@ class FitConfig:
             raise ConstraintError("support must be None or two finite values A < B")
 
     def j_values(self) -> list[int]:
-        return list(range(self.j_min, self.j_max + 1, self.j_step))
+        return list(range(self.j_min, self.j_max + 1, J_STEP))
 
 
 @dataclass(frozen=True)
@@ -107,9 +106,7 @@ class DensityEstimate:
         a, b = self.support
         x = np.asarray(x, float)
         z = (x - a) / (b - a)
-        out = np.interp(z, self.t, self.p, left=0.0, right=0.0) / (b - a)
-        out = np.where((z < 0) | (z > 1), 0.0, out)
-        return out
+        return np.interp(z, self.t, self.p, left=0.0, right=0.0) / (b - a)
 
     def unit_density(self) -> GridDensity:
         return GridDensity(self.t, self.p)
@@ -141,12 +138,12 @@ class _Objective:
     """The likelihood kernel, and its gradient in search coordinates.
 
     ``forward`` maps a feasible (c, knot heights) to the log-likelihood
-    and the normalized grid density: v = c B, the sphere exponential map,
-    gamma as the cumulative trapezoid integral of q^2, the template in one
-    pass over the samples and the grid together, and the trapezoid
-    normalizer.  Every likelihood and density this module reports or
-    checks comes from it, so the reported likelihood is the function
-    the search maximized.
+    and the normalized grid density: v = c B, the sphere exponential map
+    at angle ||v|| = ||c|| (the basis is trapezoid-orthonormal), gamma as
+    the cumulative trapezoid integral of q^2, the template in one pass over
+    the samples and the grid together, and the trapezoid normalizer.
+    Every likelihood and density this module reports or checks comes from
+    it, so the reported likelihood is the function the search maximized.
 
     ``value_and_grad`` adds the reverse pass in theta = (c, u).  The
     coefficient vector c is pulled back onto the feasible ball by radial
@@ -271,8 +268,7 @@ class _Objective:
         reverse pass reuses."""
         m, pieces = self.m, self.n_pieces
         v = c @ self.b
-        tv = self.trap * v
-        nrm = math.sqrt(max(float(v @ tv), 0.0))
+        nrm = math.sqrt(float(c @ c))
         curved = nrm >= _THETA_FLOOR
         sinc = math.sin(nrm) / nrm if curved else 1.0
         q = sinc * v
@@ -304,7 +300,7 @@ class _Objective:
         warped = val[m:]
         norm = float(self.trap @ warped)  # heights, hence val and norm, are > 0
         ll = float(self.wt @ np.log(val[:m])) - self.wt_sum * math.log(norm)
-        tape = (v, tv, nrm, sinc, q, total, gamma, frac, k, sk, val[:m], norm)
+        tape = (v, nrm, sinc, q, total, gamma, frac, k, sk, val[:m], norm)
         return ll, warped / norm, tape
 
     def value_and_grad(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
@@ -318,7 +314,7 @@ class _Objective:
             if (kh[k + 1] - kh[k]) * d <= 0.0:
                 return math.inf, np.zeros_like(theta)
         ll, _, tape = self.forward(c, kh)
-        v, tv, nrm, sinc, q, total, gamma, frac, k, sk, gz, norm = tape
+        v, nrm, sinc, q, total, gamma, frac, k, sk, gz, norm = tape
 
         # reverse: per-piece sums of the template's adjoint give the knot
         # heights (d/dkh[k] = 1 - frac, d/dkh[k+1] = frac on piece k)
@@ -353,14 +349,13 @@ class _Objective:
         seg[1:-1] -= float(gamma_bar @ gamma)
         qq_bar = q * (seg[1:] + seg[:-1])
         scale = -2.0 * pieces / total  # q_bar = scale * qq_bar, for -loglik
-        v_bar = (scale * sinc) * qq_bar
+        c_grad = self.b @ ((scale * sinc) * qq_bar)
         if nrm >= _THETA_FLOOR:
             nrm_bar = scale * (
                 -math.sin(nrm) * float(qq_bar.sum())
                 + (math.cos(nrm) - sinc) / nrm * float(qq_bar @ v)
             )
-            v_bar += tv * (nrm_bar / nrm)
-        c_grad = self.b @ v_bar
+            c_grad += c * (nrm_bar / nrm)
         if c_len > COEFF_RADIUS:
             unit = theta[:j] / c_len
             c_grad = (_PROJECTED_RADIUS / c_len) * (
@@ -446,30 +441,29 @@ def fit_fixed_j(
     z: np.ndarray,
     j: int,
     cfg: FitConfig,
-    seed: int,
     weights: np.ndarray | None = None,
 ) -> tuple[CoefficientVector, np.ndarray, float]:
     """Best local optimum with the requested shape across L-BFGS runs.
 
-    Each run is ``lbfgs.minimize`` on the analytic likelihood gradient; a
-    start where the objective is not finite ends at fun = inf and is
-    dropped.  Start 0 is deterministic (identity warp, midpoint-feasible
-    heights); the remaining starts draw from seeded per-restart streams.
-    ``count_modes`` checks the finite results once each, best objective
-    first (ties to the earliest restart), and the first with the requested
-    modes is returned.
+    Each run is ``lbfgs.minimize``, for at most ``MAXITER`` iterations, on
+    the analytic likelihood gradient; a start where the objective is not
+    finite ends at fun = inf and is dropped.  Start 0 is deterministic
+    (identity warp, midpoint-feasible heights); the rest draw from
+    per-restart streams seeded by ``cfg.seed``.  ``count_modes`` checks the
+    finite results once each, best objective first (ties to the earliest
+    restart), and the first with the requested modes is returned.
     """
     z = np.asarray(z, float)
     obj = _Objective(z, cfg.shape, cfg.omega, j, cfg.n_grid, weights)
 
     starts = [np.zeros(obj.n_params)]
     for r in range(1, cfg.restarts + 1):
-        rng = np.random.default_rng([seed, r])
+        rng = np.random.default_rng([cfg.seed, r])
         starts.append(_random_start(obj, rng))
 
     runs = []
     for r, theta0 in enumerate(starts):
-        res = minimize(obj.value_and_grad, theta0, options={"maxiter": cfg.maxiter})
+        res = minimize(obj.value_and_grad, theta0, options={"maxiter": MAXITER})
         if math.isfinite(res.fun):
             runs.append((float(res.fun), r, res.x))
     if not runs:
@@ -506,7 +500,7 @@ def fit(
     best = None
     for j in cfg.j_values():
         try:
-            c, lam, ll = fit_fixed_j(z, j, cfg, seed=cfg.seed, weights=weights)
+            c, lam, ll = fit_fixed_j(z, j, cfg, weights=weights)
         except OptimizationError:
             continue  # no candidate with the requested shape at this J
         k = j + lam.size

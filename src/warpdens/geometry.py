@@ -19,7 +19,8 @@ from .errors import DomainError, InvalidSrsfError, InvalidWarpError
 
 DEFAULT_GRID_SIZE = 1024
 
-#: Feasible radius for tangent vectors: ||sum_j c_j B_j|| <= 2*pi.
+#: Feasible radius for tangent vectors: ||sum_j c_j B_j|| = ||c|| <= 2*pi; the
+#: equality holds because ``fourier_basis`` is trapezoid-orthonormal.
 COEFF_RADIUS = 2.0 * np.pi
 
 _THETA_FLOOR = 1e-9
@@ -60,11 +61,6 @@ class WarpingGrid:
         g = g.copy()
         g[0], g[-1] = 0.0, 1.0
         object.__setattr__(self, "gamma", g)
-
-    @classmethod
-    def identity(cls, n: int = DEFAULT_GRID_SIZE) -> "WarpingGrid":
-        t = unit_grid(n)
-        return cls(t, t.copy())
 
 
 @dataclass(frozen=True)
@@ -123,15 +119,23 @@ class BasisSet:
         return self.b.shape[0]
 
 
+def min_grid_size(j: int) -> int:
+    """Fewest points on which the trapezoid rule keeps j Fourier functions
+    orthonormal: frequencies up to K = ceil(j/2) need n >= 2K + 2."""
+    return 2 * ((j + 1) // 2) + 2
+
+
 @lru_cache(maxsize=64)
 def fourier_basis(j: int, n: int = DEFAULT_GRID_SIZE) -> BasisSet:
     """First j elements of the orthonormal Fourier family without the constant.
 
     Ordered sin/cos interleaved: sqrt(2)sin(2 pi t), sqrt(2)cos(2 pi t),
-    sqrt(2)sin(4 pi t), ...
+    sqrt(2)sin(4 pi t), ...  Fewer than ``min_grid_size(j)`` points alias them.
     """
     if j < 1:
         raise DomainError(f"basis dimension must be >= 1, got {j}")
+    if n < min_grid_size(j):
+        raise DomainError(f"{n} grid points alias {j} Fourier functions")
     t = unit_grid(n)
     rows = np.empty((j, n))
     for i in range(j):

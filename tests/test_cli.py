@@ -130,6 +130,14 @@ class TestFitCommand:
         assert capsys.readouterr().err == "error: seed must be >= 0\n"
         assert not out.exists()
 
+    def test_grid_that_aliases_the_basis_exit_4(self, sample_csv, tmp_path, capsys):
+        out = tmp_path / "x.json"
+        code = main(["fit", str(sample_csv), "-o", str(out), "--modes", "1",
+                     "--grid", "8"])
+        assert code == 4
+        assert "n_grid must be >= 12" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("curve", [False, True], ids=["output", "curve-csv"])
     def test_unwritable_output_exit_2(self, curve, sample_csv, tmp_path, capsys):
         bad = str(tmp_path / "missing" / "out")

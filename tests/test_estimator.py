@@ -151,8 +151,8 @@ class TestConfigValidation:
         "change",
         [
             {"n_grid": 4},
-            {"j_step": 0},
-            {"maxiter": 0},
+            {"n_grid": 11, "j_max": 10},  # grids that alias the Fourier basis
+            {"n_grid": 8},
             {"omega": 2.0},
             {"omega": 0.0},
             {"seed": -1},
@@ -165,6 +165,9 @@ class TestConfigValidation:
     def test_rejected(self, change):
         with pytest.raises(ConstraintError):
             FitConfig(shape=ShapeSpec.modes(1), **change)
+
+    def test_coarsest_grid_for_the_basis_accepted(self):
+        assert FitConfig(shape=ShapeSpec.modes(1), n_grid=12).j_max == 10
 
     def test_grid_too_fine_for_a_free_mode(self):
         # at 600,000 points count_modes could not see the dip between two
@@ -374,9 +377,9 @@ class TestFitFixedJ:
     def test_deterministic(self):
         rng = np.random.default_rng(2)
         z = np.sort(rng.beta(2, 4, 300))
-        cfg = FitConfig(shape=ShapeSpec.modes(1), restarts=4)
-        a = fit_fixed_j(z, 4, cfg, seed=11)
-        b = fit_fixed_j(z, 4, cfg, seed=11)
+        cfg = FitConfig(shape=ShapeSpec.modes(1), restarts=4, seed=11)
+        a = fit_fixed_j(z, 4, cfg)
+        b = fit_fixed_j(z, 4, cfg)
         assert np.array_equal(a[0].c, b[0].c)
         assert np.array_equal(a[1], b[1])
         assert a[2] == b[2]
@@ -385,8 +388,8 @@ class TestFitFixedJ:
         rng = np.random.default_rng(3)
         z = np.sort(rng.beta(2, 4, 300))
         shape = ShapeSpec.modes(1)
-        cfg = FitConfig(shape=shape, restarts=4)
-        _, _, ll = fit_fixed_j(z, 4, cfg, seed=1)
+        cfg = FitConfig(shape=shape, restarts=4, seed=1)
+        _, _, ll = fit_fixed_j(z, 4, cfg)
         ll0 = log_likelihood(z, CoefficientVector(np.zeros(4)), np.empty(0), cfg)
         assert ll >= ll0
 
@@ -401,7 +404,7 @@ class TestFitFixedJ:
         )
         z = rescale_to_unit(x, *estimate_support(x))
         for j in cfg.j_values():
-            c, lam, ll = fit_fixed_j(z, j, cfg, seed=seed)
+            c, lam, ll = fit_fixed_j(z, j, cfg)
             ll_kernel, dens = _kernel(z, c.c, lam, cfg, None)
             assert count_modes(dens) == 2, f"J={j}, lambda={lam}"
             assert math.isfinite(ll) and ll == ll_kernel
@@ -413,7 +416,7 @@ class TestFitFixedJ:
         z = np.sort(np.random.default_rng(4).beta(2, 4, 200))
         cfg = FitConfig(shape=ShapeSpec.modes(1), restarts=1)
         with pytest.raises(OptimizationError):
-            fit_fixed_j(z, 2, cfg, seed=0)
+            fit_fixed_j(z, 2, cfg)
         assert len(calls) == cfg.restarts + 1
 
     def test_falls_back_to_next_ranked_restart(self, monkeypatch):
@@ -436,7 +439,7 @@ class TestFitFixedJ:
         rng = np.random.default_rng(12)
         z = np.concatenate([rng.beta(3, 9, 150), rng.beta(9, 3, 150)])
         cfg = FitConfig(shape=ShapeSpec.modes(2), restarts=3)
-        c, lam, ll = fit_fixed_j(z, 4, cfg, seed=0)
+        c, lam, ll = fit_fixed_j(z, 4, cfg)
 
         assert len(calls) == 2
         ranked = sorted(run for run in runs if math.isfinite(run[0]))
@@ -460,7 +463,7 @@ class TestFitFixedJ:
             rng = np.random.default_rng(seed)
             z = np.interp(rng.uniform(0, 1, 5000), cdf, p.t)
             c_hat, lam_hat, _ = fit_fixed_j(
-                z, 2, FitConfig(shape=shape, restarts=6), seed=seed
+                z, 2, FitConfig(shape=shape, restarts=6, seed=seed)
             )
             warp = coeffs_to_warp(c_hat, fourier_basis(2, 4097))
             p_hat = group_action(build_template(shape, lam_hat, 1e-3, 4097), warp)
@@ -500,10 +503,10 @@ class TestFit:
     def test_j_without_candidate_drops_out(self, monkeypatch):
         real = estimator.fit_fixed_j
 
-        def fail_at_2(z, j, cfg, seed, weights=None):
+        def fail_at_2(z, j, cfg, weights=None):
             if j == 2:
                 raise OptimizationError("no candidate")
-            return real(z, j, cfg, seed, weights)
+            return real(z, j, cfg, weights)
 
         monkeypatch.setattr(estimator, "fit_fixed_j", fail_at_2)
         z = np.sort(np.random.default_rng(8).beta(2, 2, 150))

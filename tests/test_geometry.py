@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import cumulative_trapezoid
 
 from warpdens import (
@@ -197,6 +199,27 @@ class TestFourierBasis:
     def test_bad_j(self):
         with pytest.raises(DomainError):
             fourier_basis(0, N)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        j=st.integers(1, 12),
+        n=st.one_of(st.integers(5, 64), st.sampled_from([1024, 4097])),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_orthonormal_exactly_on_accepted_grids(self, j, n, seed):
+        # the trapezoid rule integrates frequencies up to K = ceil(j/2)
+        # exactly when n >= 2K + 2; coarser grids alias the family
+        if n < 2 * math.ceil(j / 2) + 2:
+            with pytest.raises(DomainError, match="alias"):
+                fourier_basis(j, n)
+            return
+        b = fourier_basis(j, n)
+        t = unit_grid(n)
+        gram = np.trapezoid(b.b[:, None, :] * b.b[None, :, :], t, axis=2)
+        assert np.max(np.abs(gram - np.eye(j))) < 1e-12
+        c = np.random.default_rng(seed).normal(0.0, 1.0, j)
+        v_norm = math.sqrt(np.trapezoid((c @ b.b) ** 2, t))
+        assert abs(v_norm - np.linalg.norm(c)) <= 1e-12 * np.linalg.norm(c)
 
 
 class TestCoeffsToWarp:
