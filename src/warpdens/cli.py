@@ -20,6 +20,7 @@ import numpy as np
 from . import bench as bench_mod
 from .conditional import ConditionalFitConfig, fit_conditional
 from .errors import (
+    ConstraintError,
     DegenerateSampleError,
     DomainError,
     OptimizationError,
@@ -97,17 +98,27 @@ def _parse_support(text: str) -> tuple[float, float]:
     return a, b
 
 
+# the flag that sets each FitConfig field its errors name
+_FLAGS = {"n_grid": "--grid", "j_min": "--jmin", "j_max": "--jmax",
+          "restarts": "--restarts", "omega": "--omega"}
+
+
 def _fit_config(args, shape: ShapeSpec) -> FitConfig:
-    return FitConfig(
-        shape=shape,
-        j_min=args.jmin,
-        j_max=args.jmax,
-        omega=args.omega,
-        restarts=args.restarts,
-        n_grid=args.grid,
-        seed=args.seed,
-        support=args.support,
-    )
+    try:
+        return FitConfig(
+            shape=shape,
+            j_min=args.jmin,
+            j_max=args.jmax,
+            omega=args.omega,
+            restarts=args.restarts,
+            n_grid=args.grid,
+            seed=args.seed,
+            support=args.support,
+        )
+    except ConstraintError as exc:
+        msg = str(exc)
+        flags = " and ".join(f for key, f in _FLAGS.items() if key in msg)
+        raise ConstraintError(f"{msg} (set by {flags})" if flags else msg) from None
 
 
 def _estimate_payload(est: DensityEstimate, grid_points: int = 512) -> dict:

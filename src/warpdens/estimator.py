@@ -135,15 +135,18 @@ def rescale_to_unit(x: np.ndarray, a: float, b: float) -> np.ndarray:
 
 
 class _Objective:
-    """The likelihood kernel, and its gradient in search coordinates.
+    """The binned likelihood kernel, and its gradient in search coordinates.
 
     ``forward`` maps a feasible (c, knot heights) to the log-likelihood
-    and the normalized grid density: v = c B, the sphere exponential map
-    at angle ||v|| = ||c|| (the basis is trapezoid-orthonormal), gamma as
-    the cumulative trapezoid integral of q^2, the template in one pass over
-    the samples and the grid together, and the trapezoid normalizer.
-    Every likelihood and density this module reports or checks comes from
-    it, so the reported likelihood is the function the search maximized.
+    W . log(val) - n log(norm) and the normalized grid density: v = c B,
+    the sphere exponential map at angle ||v|| = ||c||, gamma as the
+    cumulative trapezoid integral of q^2, the template val on the grid and
+    its trapezoid integral norm.  W holds the sample weights, linearly
+    binned onto the grid once (Fan & Marron, 1994), so log p is interpolated
+    linearly between grid points and a sample in a trough narrower than a
+    grid step scores above its exact value.  Every likelihood and density
+    this module reports or checks comes from ``forward``, so the reported
+    likelihood is the function the search maximized.
 
     ``value_and_grad`` adds the reverse pass in theta = (c, u).  The
     coefficient vector c is pulled back onto the feasible ball by radial
@@ -157,14 +160,12 @@ class _Objective:
     least rise over one piece that ``count_modes`` resolves.  The mode
     bound keeps every cap at or above 2 gap.
 
-    One evaluation is a few dozen numpy calls on arrays of the sample and
-    grid sizes, so it is bound by the cost of each call: the height map,
-    the monotone-knot check and the chain from per-piece sums to the knot
-    heights run on Python floats.  The buffers ``xs`` (gamma at the
-    samples, then on the grid), ``wbar``, ``cum`` and ``seg`` live across
-    calls; the tape holds views into them that are valid until the next
-    call.  The returned density and gradient are fresh arrays on every
-    call, because the search keeps the previous gradient.
+    One evaluation is a few dozen numpy calls on grid-sized arrays, bound
+    by the cost of each call: the height map, the monotone-knot check and
+    the chain from per-piece sums to the knot heights run on Python floats.
+    The buffers ``gamma`` and ``seg`` live across calls, and the tape holds
+    a view of ``gamma``; the returned density and gradient are fresh arrays,
+    because the search keeps the previous gradient.
     """
 
     def __init__(
@@ -213,21 +214,17 @@ class _Objective:
         ]
         self.n_params = j + len(self.free)
 
-        # fixed sample positions in grid coordinates
+        # linear binning: each sample's weight goes to its two grid neighbors
         z = np.asarray(z, float)
         zi = np.clip(z * (n_grid - 1), 0.0, n_grid - 1 - 1e-12)
         lo = zi.astype(np.intp)
         frac = zi - lo
-        # gamma(z) = gamma[lo] (1 - frac) + gamma[lo + 1] frac, in one gather
-        self.z_ends = np.concatenate((lo, lo + 1))
-        self.z_ends_wt = np.concatenate((1.0 - frac, frac))
-        self.wt = np.ones(z.size) if weights is None else z.size * np.asarray(weights)
-        self.wt_sum = float(self.wt.sum())
+        wt = np.ones(z.size) if weights is None else z.size * np.asarray(weights)
+        self.grid_wt = np.bincount(lo, wt * (1.0 - frac), n_grid)
+        self.grid_wt += np.bincount(lo + 1, wt * frac, n_grid)
+        self.wt_sum = float(wt.sum())
 
-        self.m = z.size
-        self.xs = np.empty(z.size + n_grid)  # gamma at the samples, then on the grid
-        self.wbar = np.empty(z.size + n_grid)  # d loglik / d template value
-        self.cum = np.zeros(n_grid)  # cum[0] stays 0
+        self.gamma = np.zeros(n_grid)  # gamma[0] stays 0
         self.seg = np.zeros(n_grid + 1)  # seg[0] and seg[-1] stay 0
 
     def heights(self, u: np.ndarray):
@@ -263,10 +260,13 @@ class _Objective:
         return c, c_len
 
     def forward(self, c: np.ndarray, kh):
-        """(loglik, normalized grid density, tape) at a feasible (c, knot
-        heights); kh is a list or an array, and the tape holds what the
-        reverse pass reuses."""
-        m, pieces = self.m, self.n_pieces
+        """(loglik, normalized grid density) at a feasible (c, knot heights)."""
+        ll, tape = self._tape(c, kh)
+        return ll, tape[-2] / tape[-1]
+
+    def _tape(self, c: np.ndarray, kh):
+        """(loglik, what the reverse pass reuses); kh is a list or an array."""
+        pieces = self.n_pieces
         v = c @ self.b
         nrm = math.sqrt(float(c @ c))
         curved = nrm >= _THETA_FLOOR
@@ -275,37 +275,30 @@ class _Objective:
         q += math.cos(nrm) if curved else 1.0
         qsq = q * q
         # gamma = cum / cum[-1], so the trapezoid's h / 2 cancels
-        cum = self.cum
-        np.add(qsq[1:], qsq[:-1], out=cum[1:])
-        np.add.accumulate(cum[1:], out=cum[1:])
-        total = float(cum[-1])
-        xs = self.xs
-        gamma = xs[m:]
-        np.divide(cum, total, out=gamma)
-        ends = gamma[self.z_ends]
-        ends *= self.z_ends_wt
-        np.add(ends[:m], ends[m:], out=xs[:m])
+        gamma = self.gamma
+        np.add(qsq[1:], qsq[:-1], out=gamma[1:])
+        np.add.accumulate(gamma[1:], out=gamma[1:])
+        total = float(gamma[-1])
+        gamma /= total
 
-        # piecewise-linear template over samples and grid at once, positive
-        # with the knot heights: kh[k] + frac * slope[k] on piece k, with
-        # frac = pieces * x - k; x <= 1, and the extra piece reads kh[pieces]
+        # piecewise-linear template on the grid, positive with the knot
+        # heights: kh[k] + frac * slope[k] on piece k, with frac =
+        # pieces * gamma - k; gamma <= 1, and the extra piece reads kh[pieces]
         slope = [kh[i + 1] - kh[i] for i in range(pieces)]
         lines = np.array(slope + slope[-1:] + list(kh))
-        frac = xs * pieces
+        frac = gamma * pieces
         k = frac.astype(np.intp)
         frac -= k
         sk = lines[: pieces + 1][k]
         val = frac * sk
         val += lines[pieces + 1 :][k]
-        warped = val[m:]
-        norm = float(self.trap @ warped)  # heights, hence val and norm, are > 0
-        ll = float(self.wt @ np.log(val[:m])) - self.wt_sum * math.log(norm)
-        tape = (v, nrm, sinc, q, total, gamma, frac, k, sk, val[:m], norm)
-        return ll, warped / norm, tape
+        norm = float(self.trap @ val)  # heights, hence val and norm, are > 0
+        ll = float(self.grid_wt @ np.log(val)) - self.wt_sum * math.log(norm)
+        return ll, (v, nrm, sinc, q, total, gamma, frac, k, sk, val, norm)
 
     def value_and_grad(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
         """(-loglik, -d loglik / d theta); (inf, 0) off the feasible set."""
-        j, m, pieces = self.j, self.m, self.n_pieces
+        j, pieces = self.j, self.n_pieces
         c, c_len = self.project(theta[:j])
         heights, dh_du, links = self.heights(theta[j:])
         heights = heights.tolist()
@@ -313,14 +306,12 @@ class _Objective:
         for k, d in self.monotone:
             if (kh[k + 1] - kh[k]) * d <= 0.0:
                 return math.inf, np.zeros_like(theta)
-        ll, _, tape = self.forward(c, kh)
-        v, nrm, sinc, q, total, gamma, frac, k, sk, gz, norm = tape
+        ll, (v, nrm, sinc, q, total, gamma, frac, k, sk, val, norm) = self._tape(c, kh)
 
         # reverse: per-piece sums of the template's adjoint give the knot
         # heights (d/dkh[k] = 1 - frac, d/dkh[k+1] = frac on piece k)
-        wbar = self.wbar
-        np.divide(self.wt, gz, out=wbar[:m])
-        np.multiply(self.trap, -self.wt_sum / norm, out=wbar[m:])
+        wbar = self.grid_wt / val
+        wbar -= self.trap * (self.wt_sum / norm)
         w_sum = np.bincount(k, wbar, pieces + 1).tolist()
         wf_sum = np.bincount(k, wbar * frac, pieces + 1).tolist()
         kh_bar = [w - wf for w, wf in zip(w_sum, wf_sum)]
@@ -334,14 +325,9 @@ class _Objective:
             h_bar[top] += h_bar[i] * dh_dtop
         u_grad = [-h_bar[i] * d for i, d in zip(self.free, dh_du)]
 
-        # then gamma back through the warp; x_bar = d loglik / d s, and
+        # then gamma back through the warp; gamma_bar = d loglik / d s, and
         # s = pieces * gamma, gamma = cum / total fold into ``scale``
-        x_bar = wbar * sk
-        gamma_bar = x_bar[m:]
-        xz_bar = x_bar[:m]
-        n, ends, ends_wt = gamma.size, self.z_ends, self.z_ends_wt
-        gamma_bar += np.bincount(ends[:m], xz_bar * ends_wt[:m], n)
-        gamma_bar += np.bincount(ends[m:], xz_bar * ends_wt[m:], n)
+        gamma_bar = wbar * sk
         # d/dqsq[i] = sum of cum_bar over the cumulative sums that hold
         # segment i-1 or segment i; cum[-1] also divides every gamma
         seg = self.seg
@@ -377,7 +363,7 @@ def _kernel(
     """
     kh = build_template(cfg.shape, lam, omega=cfg.omega, n=cfg.n_grid).knot_heights
     obj = _Objective(z, cfg.shape, cfg.omega, c.size, cfg.n_grid, weights)
-    ll, p, _ = obj.forward(c, kh)
+    ll, p = obj.forward(c, kh)
     return ll, GridDensity(obj.t.copy(), p)  # obj.t is the cached basis grid
 
 
@@ -404,12 +390,13 @@ def log_likelihood(
     cfg: FitConfig,
     weights: np.ndarray | None = None,
 ) -> float:
-    """Log-likelihood of unit-interval samples under the warped template.
+    """Binned log-likelihood of unit-interval samples under the warped template.
 
-    This is the function the fit maximizes, with gamma integrated by the
-    cumulative trapezoid rule.  With ``weights`` (summing to 1) the
-    weighted form n * sum(w_i log p_i) is used, which reduces to the plain
-    sum for uniform weights.  Samples must lie in [0, 1].
+    This is the function the fit maximizes (see ``_Objective``): log p is
+    interpolated linearly between the ``cfg.n_grid`` grid points (linear
+    binning, Fan & Marron 1994), so a sample in a trough narrower than a
+    grid step scores too high.  With ``weights`` (summing to 1) the weighted
+    form n * sum(w_i log p_i) is used.  Samples must lie in [0, 1].
     """
     z = np.asarray(z, float)
     weights = _check_sample(z, weights)
@@ -473,7 +460,7 @@ def fit_fixed_j(
     for _, _, theta in sorted(runs, key=lambda run: run[:2]):
         c = obj.project(theta[:j])[0]
         heights = obj.heights(theta[j:])[0]
-        ll, p = obj.forward(c, heights[obj.knot_levels])[:2]
+        ll, p = obj.forward(c, heights[obj.knot_levels])
         if count_modes(GridDensity(obj.t, p)) == n_modes:
             return CoefficientVector(c), heights[obj.free], ll
     raise OptimizationError(f"J={j}: no restart's grid density has {n_modes} modes")

@@ -135,7 +135,28 @@ class TestFitCommand:
         code = main(["fit", str(sample_csv), "-o", str(out), "--modes", "1",
                      "--grid", "8"])
         assert code == 4
-        assert "n_grid must be >= 12" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "n_grid must be >= 12" in err
+        assert "--grid" in err and "--jmax" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--jmin", "5", "--jmax", "4"], ["--jmin", "--jmax"]),
+            (["--restarts", "0"], ["--restarts"]),
+            (["--omega", "1.5"], ["--omega"]),
+        ],
+        ids=["jmin-above-jmax", "restarts", "omega"],
+    )
+    def test_config_error_names_the_flag_exit_4(
+        self, flags, named, sample_csv, tmp_path, capsys
+    ):
+        out = tmp_path / "x.json"
+        code = main(["fit", str(sample_csv), "-o", str(out), "--modes", "1", *flags])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert all(flag in err for flag in named), err
         assert not out.exists()
 
     @pytest.mark.parametrize("curve", [False, True], ids=["output", "curve-csv"])

@@ -31,8 +31,18 @@ from warpdens import (
     unit_grid,
 )
 from warpdens import estimator
+from warpdens.bench import error_norms, normal_mixture
 from warpdens.estimator import _U_CLIP, _kernel, _Objective, _random_start
 from warpdens.geometry import COEFF_RADIUS
+
+
+def binned_loglik(z, log_p):
+    """Sum of (1 - f) log p(t_lo) + f log p(t_lo + 1): log p on a uniform
+    grid, interpolated linearly at each sample z in [0, 1)."""
+    zi = np.asarray(z) * (log_p.size - 1)
+    lo = zi.astype(int)
+    f = zi - lo
+    return float(np.sum((1.0 - f) * log_p[lo] + f * log_p[lo + 1]))
 
 
 class TestSupport:
@@ -75,14 +85,14 @@ class TestRescale:
 
 class TestLogLikelihood:
     def test_triangle_closed_form(self):
-        # c=0, M=1: density is the normalized triangle; compare to a
-        # direct evaluation of that density at the sample points.
+        # c=0, M=1: density is the normalized triangle; compare to the
+        # binned log-likelihood of that density, built without the kernel
         shape = ShapeSpec.modes(1)
         omega = 1e-3
         z = np.linspace(0.05, 0.95, 19)
         tmpl = build_template(shape, np.empty(0), omega=omega, n=4097)
         p = template_density(tmpl)
-        expect = float(np.sum(np.log(np.interp(z, p.t, p.p))))
+        expect = binned_loglik(z, np.log(p.p))
         cfg = FitConfig(shape=shape, omega=omega, n_grid=4097)
         got = log_likelihood(z, CoefficientVector(np.zeros(4)), np.empty(0), cfg)
         assert abs(got - expect) < 1e-6
@@ -118,16 +128,17 @@ class TestLogLikelihood:
         assert ll_oracle > ll_id
 
     def test_template_positive_next_to_steep_knot(self):
-        # an antimode of 4.7e-14 next to a mode of 488: the template value
-        # at a sample on the rising piece must not cancel to zero
+        # an antimode of 4.7e-14 next to a mode of 488: the template values
+        # on the grid around the samples must not cancel to zero
         shape = ShapeSpec.modes(2)
         lam = np.array([4.7e-14, 488.0])
         z = np.array([0.3, 0.5, 0.7])
         cfg = FitConfig(shape=shape)
         got = log_likelihood(z, CoefficientVector(np.zeros(2)), lam, cfg)
         tmpl = build_template(shape, lam, omega=cfg.omega, n=cfg.n_grid)
-        expect = float(np.sum(np.log(np.interp(z, tmpl.knots, tmpl.knot_heights))))
+        expect = binned_loglik(z, np.log(tmpl.g))
         expect -= z.size * math.log(np.trapezoid(tmpl.g, tmpl.t))
+        assert math.isfinite(got)
         assert abs(got - expect) <= 1e-9 * abs(expect)
 
     @pytest.mark.parametrize(
@@ -372,6 +383,61 @@ class TestObjective:
         ref = group_action(build_template(shape, lam, 1e-3, 1024), warp).p
         assert np.max(np.abs(p - ref)) <= 1e-3 * np.max(ref)
 
+    def test_kernel_holds_no_per_sample_array(self):
+        # the samples are binned once, so the kernel's arrays, and the cost
+        # of an evaluation, do not depend on the sample size
+        rng = np.random.default_rng(17)
+        shapes = []
+        for n in (1000, 20000):
+            z = rng.beta(2.0, 2.0, n)
+            obj = _Objective(z, ShapeSpec.modes(2), 1e-3, 8, 1024, None)
+            arrays = {
+                k: a.shape for k, a in vars(obj).items() if isinstance(a, np.ndarray)
+            }
+            assert not any(n in shape for shape in arrays.values())
+            shapes.append(arrays)
+        assert shapes[0] == shapes[1]
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        m=st.integers(1, 3),
+        j=st.sampled_from([2, 6, 10]),
+        weighted=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_binning_error_per_observation(self, m, j, weighted, seed):
+        # the kernel bins the samples onto the grid; score the same theta
+        # exactly, with gamma and then the template at each sample
+        rng = np.random.default_rng(seed)
+        z = np.append(rng.beta(2.0, 2.0, 500), [0.0, 1.0])
+        w = rng.uniform(0.0, 1.0, z.size) if weighted else np.ones(z.size)
+        w /= w.sum()
+        obj = _Objective(z, ShapeSpec.modes(m), 1e-3, j, 1024, w if weighted else None)
+        wt = z.size * w  # the likelihood weights
+        direction = rng.standard_normal(j)
+        direction /= np.linalg.norm(direction)
+        c = rng.uniform(0.0, 0.999) * COEFF_RADIUS * direction
+        nrm = float(np.linalg.norm(c))
+        q = math.cos(nrm) + math.sin(nrm) / nrm * (c @ fourier_basis(j, 1024).b)
+        cum = np.concatenate(([0.0], np.cumsum(q[1:] ** 2 + q[:-1] ** 2)))
+        gamma = cum / cum[-1]
+        knots = np.linspace(0.0, 1.0, obj.n_pieces + 1)
+
+        def exact(u):
+            kh = obj.heights(u)[0][obj.knot_levels]
+            norm = np.trapezoid(np.interp(gamma, knots, kh), obj.t)
+            g = np.interp(np.interp(z, obj.t, gamma), knots, kh)
+            return float(wt @ np.log(g)) - wt.sum() * math.log(norm)
+
+        n_u = obj.n_params - j
+        random_start = _random_start(obj, rng)[j:]
+        for u, bound in [
+            (random_start, 1e-3),
+            (rng.uniform(-_U_CLIP, _U_CLIP, n_u), 0.05),  # antimodes to ~1e-13
+        ]:
+            binned = -obj.value_and_grad(np.concatenate((c, u)))[0]
+            assert abs(exact(u) - binned) / z.size <= bound
+
 
 class TestFitFixedJ:
     def test_deterministic(self):
@@ -577,6 +643,22 @@ class TestFit:
         est = fit(x, FitConfig(shape=ShapeSpec.modes(2), restarts=8, seed=1))
         p = est.unit_density()
         assert count_modes(p) == 2
+
+    def test_deep_gap_is_not_filled(self):
+        # binning interpolates log p linearly between grid points, which
+        # overstates the likelihood of a sample in a sharp trough; the fit
+        # must still find the truth's gap (density ~1e-8 at 0), not fill it
+        truth = normal_mixture((0.5, -3.0, 0.25), (0.5, 3.0, 0.25))
+        l2 = []
+        for rep in range(4):  # seeded as bench replicates 0-3 at seed 0
+            rng = np.random.default_rng([0, rep])
+            cfg = FitConfig(
+                shape=ShapeSpec.modes(2), restarts=8, seed=int(rng.integers(2**31))
+            )
+            est = fit(truth.sample(1000, rng), cfg)
+            l2.append(error_norms(est, truth)[1])
+            assert est.pdf(np.linspace(-2.0, 2.0, 401)).min() <= 1e-4, rep
+        assert np.median(l2) <= 0.09
 
 
 def test_grid_density_validation():
