@@ -1,16 +1,20 @@
-"""Limited-memory BFGS for the fit's unbounded search.
+"""BFGS for the fit's unbounded search.
 
-``minimize`` computes the step L-BFGS-B takes when no bound is set (Byrd,
-Lu, Nocedal & Zhu 1995): the inverse-Hessian product of the last ``MEMORY``
-pairs, with the initial matrix scaled by s'y / y'y of the newest pair, and
-the same stopping rules and line search with L-BFGS-B's default settings.
+``minimize`` keeps the full BFGS inverse-Hessian approximation H as one
+dense n x n matrix and updates it in place after each step by the rank-two
+formula H+ = (I - rho s y')H(I - rho y s') + rho s s', rho = 1 / s'y
+(Nocedal & Wright 2006, eq. 6.17), with H0 = I scaled by s'y / y'y of the
+first pair (their eq. 6.20).  A direction is one matrix-vector product.
 
-The search problem has at most about a dozen parameters and one objective
-call costs tens of microseconds, so the bookkeeping of an iteration has to
-cost less than a call, and that cost is the number of numpy calls.  So the
-inverse-Hessian approximation H is kept as a dense n x n matrix, rebuilt
-from the compact form after each update with about 20 calls on arrays of
-at most MEMORY x n, and a direction is one matrix-vector product.
+Full memory pays here because the search is small: J + |lambda| is at
+most about 16 parameters (about 30 once the J sweep grows with n), and one
+objective call costs tens of microseconds, so an iteration's bookkeeping
+has to cost less than a call, and that cost is the number of numpy calls.
+A limited memory (L-BFGS) is built for thousands of parameters: it drops
+old pairs that a 16 x 16 matrix keeps for free and has to rebuild H or
+its product from the stored pairs at every step.  The stopping rules and
+the line search are those of L-BFGS-B with its default settings (Byrd,
+Lu, Nocedal & Zhu 1995).
 
 The line search is the Moré–Thuente search of MINPACK-2's ``dcsrch`` and
 ``dcstep`` (Moré & Thuente 1994), written after the MINPACK-2 Fortran and
@@ -27,7 +31,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-MEMORY = 10  # pairs kept (L-BFGS-B's maxcor)
 FTOL = 2.220446049250313e-09  # relative reduction of f (factr 1e7 * eps)
 GTOL = 1e-5  # largest gradient entry
 _EPS = 2.220446049250313e-16
@@ -55,8 +58,9 @@ def minimize(fun, x0, options: dict) -> Result:
     of ``scipy.optimize.minimize``.  The search stops when an iteration
     reduces f by at most ``FTOL * max(|f_old|, |f|, 1)``, when no gradient
     entry exceeds ``GTOL`` in size, after ``maxiter`` iterations, or when a
-    line search fails with no pairs in memory; after a failure with pairs,
-    the memory is cleared and the search goes on from steepest descent.
+    line search fails before any pair has updated H; after a failure with
+    an updated H, H is reset to I and the search goes on from steepest
+    descent.  A pair with s'y <= eps * y'y leaves H as it is.
     A non-finite f counts as outside the objective's domain: a line search
     steps back from it, and a non-finite start is returned as it is, with
     ``fun = inf``.  Every end point but that one has a finite f no larger
@@ -72,23 +76,18 @@ def minimize(fun, x0, options: dict) -> Result:
         return Result(x, f, nfev, nit, "gradient below gtol")
 
     n = x.size
-    # pair i sits in slot i % MEMORY; the newest replaces the oldest
-    s_mem, y_mem = np.zeros((MEMORY, n)), np.zeros((MEMORY, n))
-    r_inv = np.zeros((MEMORY, MEMORY))  # R^-1 by slot; zero for empty slots
-    sqrt_d = np.zeros((MEMORY, 1))  # sqrt(s_i'y_i) by slot
-    pairs = 0  # pairs stored since the last (re)start
     h = np.eye(n)
+    updated = False  # has a pair updated H since the last (re)start?
     while True:
         d = -(h @ g)
-        stp = 1.0 if pairs else 1.0 / math.sqrt(float(d @ d))
+        stp = 1.0 if updated else 1.0 / math.sqrt(float(d @ d))
         gd = float(g @ d)
         found, evals = _line_search(fun, x, f, gd, d, stp) if gd < 0.0 else (None, 0)
         nfev += evals
         if found is None:
-            if not pairs:
+            if not updated:
                 return Result(x, f, nfev, nit, "line search failed")
-            pairs = 0  # restart from steepest descent
-            r_inv[:] = 0.0
+            updated = False  # restart from steepest descent
             h = np.eye(n)
             continue
         nit += 1
@@ -104,35 +103,28 @@ def minimize(fun, x0, options: dict) -> Result:
 
         s_y, y_y = float(s @ y), float(y @ y)
         if s_y <= _EPS * y_y:
-            continue  # no positive curvature along s: keep the memory
-        h = _add_pair(s_mem, y_mem, r_inv, sqrt_d, pairs % MEMORY, s, y, s_y, y_y)
-        pairs += 1
+            continue  # no positive curvature along s: keep H
+        if not updated:
+            h *= s_y / y_y
+            updated = True
+        _update(h, s, y, s_y)
 
 
-def _add_pair(s_mem, y_mem, r_inv, sqrt_d, slot, s, y, s_y, y_y) -> np.ndarray:
-    """Store the pair (s, y) in ``slot`` over the oldest pair, and return
-    the new inverse-Hessian approximation H.
+def _update(h, s, y, s_y) -> None:
+    """Apply the BFGS update for the pair (s, y), s'y = ``s_y`` > 0, to H
+    in place.
 
-    With S and Y the stored pairs, R the upper triangle of S'Y in the order
-    they were stored, D its diagonal and gamma = s'y / y'y of the newest
-    pair, the compact form of Byrd, Nocedal & Schnabel (1994) regroups to
-    H = gamma (I - Y R^-1 S')' (I - Y R^-1 S') + S R^-T D R^-1 S'.
-    It does not depend on the order of the slots.  Dropping the oldest pair
-    drops the first row and column of R, and of R^-1 with it; the new pair
-    adds a last column.
+    Multiplied out, H+ = H + s a' + a s' with
+    a = rho * ((rho * y'Hy + 1) / 2 * s - Hy).  The two rank-one terms are
+    added as one matrix m + m', which is symmetric bit for bit, so a
+    symmetric H stays exactly symmetric.
     """
-    r_inv[slot] = 0.0
-    r_inv[:, slot] = 0.0
-    s_mem[slot], y_mem[slot] = s, y
-    r_inv[:, slot] = (r_inv @ (s_mem @ y)) * (-1.0 / s_y)
-    r_inv[slot, slot] = 1.0 / s_y
-    sqrt_d[slot] = math.sqrt(s_y)
-    z = r_inv @ s_mem  # R^-1 S'
-    e = y_mem.T @ z  # Y R^-1 S', then minus I
-    e.flat[:: len(e) + 1] -= 1.0
-    e *= math.sqrt(s_y / y_y)
-    zd = z * sqrt_d
-    return e.T @ e + zd.T @ zd
+    rho = 1.0 / s_y
+    hy = h @ y
+    a = s * (0.5 * rho * (rho * float(y @ hy) + 1.0))
+    a -= hy * rho
+    m = np.outer(s, a)
+    h += m + m.T
 
 
 def _line_search(fun, x, f0, gd0, d, stp):

@@ -3,10 +3,10 @@
 The density estimate is the warped, renormalized template
 g(gamma_c(t)) / integral g(gamma_c(t)) dt, maximized jointly over the
 coefficient vector c (restricted to the ball of radius 2*pi) and the
-height-ratio vector.  Optimization is multi-start limited-memory BFGS
-(``lbfgs.minimize``, the unbounded case of L-BFGS-B) on an unconstrained
-reparameterization, driven by the analytic gradient of the likelihood; the
-basis dimension J is swept and the best AIC wins.
+height-ratio vector.  Optimization is multi-start BFGS (``bfgs.minimize``,
+full memory, with L-BFGS-B's line search and stopping rules) on an
+unconstrained reparameterization, driven by the analytic gradient of the
+likelihood; the basis dimension J is swept and the best AIC wins.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .geometry import (
     fourier_basis,
     min_grid_size,
 )
-from .lbfgs import minimize
+from .bfgs import minimize
 from .templates import (
     MODE_TOL,
     GridDensity,
@@ -46,7 +46,7 @@ _U_CLIP = 30.0  # height parameters are clipped here (sigmoid(-30) ~ 1e-13)
 _VISIBLE = 4.0  # antimode depth in multiples of the least rise count_modes sees
 _PROJECTED_RADIUS = COEFF_RADIUS - 1e-6
 J_STEP = 2  # the J sweep adds one sin/cos pair at a time
-MAXITER = 400  # L-BFGS iterations per start
+MAXITER = 400  # BFGS iterations per start
 
 
 @dataclass(frozen=True)
@@ -430,9 +430,9 @@ def fit_fixed_j(
     cfg: FitConfig,
     weights: np.ndarray | None = None,
 ) -> tuple[CoefficientVector, np.ndarray, float]:
-    """Best local optimum with the requested shape across L-BFGS runs.
+    """Best local optimum with the requested shape across BFGS runs.
 
-    Each run is ``lbfgs.minimize``, for at most ``MAXITER`` iterations, on
+    Each run is ``bfgs.minimize``, for at most ``MAXITER`` iterations, on
     the analytic likelihood gradient; a start where the objective is not
     finite ends at fun = inf and is dropped.  Start 0 is deterministic
     (identity warp, midpoint-feasible heights); the rest draw from

@@ -1,4 +1,8 @@
-"""Tests for the in-repo limited-memory BFGS."""
+"""Tests for the in-repo BFGS, `warpdens.bfgs`.
+
+The file keeps the name it had while the optimizer was L-BFGS, so the test
+ids stay the same across the change of method.
+"""
 
 import math
 
@@ -7,7 +11,7 @@ import pytest
 from scipy.optimize import minimize as scipy_minimize
 from scipy.optimize import rosen, rosen_der
 
-from warpdens.lbfgs import GTOL, minimize
+from warpdens.bfgs import GTOL, _update, minimize
 
 
 def rosenbrock(x):
@@ -34,14 +38,16 @@ def test_convex_quadratic_reaches_its_minimizer(seed):
 @pytest.mark.parametrize(
     "x0", [[-1.2, 1.0], [2.0, 2.0, 2.0, 2.0], [-1.0, 0.5, 1.5, -0.5, 0.3]]
 )
-def test_rosenbrock_matches_scipy_lbfgsb(x0):
-    # no bounds: the same direction, line search and stopping rules
+def test_rosenbrock_reaches_scipys_minimizer(x0):
+    # the same line search and stopping rules as L-BFGS-B, but full-memory
+    # directions: the iterates differ, and the two searches stop a few 1e-6
+    # apart near the same minimizer, in a valley where f is flat to 1e-11
     x0 = np.array(x0)
     ours = minimize(rosenbrock, x0, options={"maxiter": 1000})
     ref = scipy_minimize(rosenbrock, x0, jac=True, method="L-BFGS-B",
                          options={"maxiter": 1000})
     assert abs(ours.fun - ref.fun) <= 1e-6
-    np.testing.assert_allclose(ours.x, ref.x, rtol=0.0, atol=1e-6)
+    np.testing.assert_allclose(ours.x, ref.x, rtol=0.0, atol=1e-5)
     assert "ftol" in ours.message or "gtol" in ours.message
 
 
@@ -93,10 +99,34 @@ def test_runs_are_bit_identical():
     b = minimize(rosenbrock, x0.copy(), options={"maxiter": 500})
     assert a.x.tobytes() == b.x.tobytes()
     assert (a.fun, a.nfev, a.nit, a.message) == (b.fun, b.nfev, b.nit, b.message)
-    assert a.nit > 10  # the memory of 10 pairs has been cycled
+    assert a.nit > 10  # long enough for H to carry many updates
 
 
 def test_x0_is_not_modified():
     x0 = np.array([-1.2, 1.0])
     minimize(rosenbrock, x0, options={"maxiter": 50})
     np.testing.assert_array_equal(x0, [-1.2, 1.0])
+
+
+def test_update_keeps_secant_symmetry_and_positive_definiteness():
+    # chains of updates from the identity, as in a search, over random
+    # pairs with s'y > 0 drawn from a random positive definite curvature
+    rng = np.random.default_rng(12)
+    pairs = 0
+    for _ in range(40):
+        n = int(rng.integers(2, 17))
+        q = rng.standard_normal((n, n))
+        curvature = q @ q.T / n + 0.1 * np.eye(n)
+        h = np.eye(n)
+        for _ in range(10):
+            s = rng.standard_normal(n)
+            y = curvature @ s + 0.1 * rng.standard_normal(n)
+            s_y = float(s @ y)
+            if s_y <= 0.0:
+                continue
+            _update(h, s, y, s_y)
+            pairs += 1
+            assert np.abs(h @ y - s).max() <= 1e-12 * np.abs(s).max()
+            assert h.tobytes() == h.T.tobytes()
+            assert np.linalg.eigvalsh(h)[0] > 0.0
+    assert pairs >= 300
