@@ -12,16 +12,15 @@ objective call costs tens of microseconds, so an iteration's bookkeeping
 has to cost less than a call, and that cost is the number of numpy calls.
 A limited memory (L-BFGS) is built for thousands of parameters: it drops
 old pairs that a 16 x 16 matrix keeps for free and has to rebuild H or
-its product from the stored pairs at every step.  The stopping rules and
-the line search are those of L-BFGS-B with its default settings (Byrd,
-Lu, Nocedal & Zhu 1995).
+its product from the stored pairs at every step.  The stopping rules are
+those of L-BFGS-B with its default settings (Byrd, Lu, Nocedal & Zhu 1995).
 
-The line search is the Moré–Thuente search of MINPACK-2's ``dcsrch`` and
-``dcstep`` (Moré & Thuente 1994), written after the MINPACK-2 Fortran and
-scipy's port of it, ``scipy/optimize/_dcsrch.py`` (BSD 3-Clause; Copyright
-(c) 2001-2002 Enthought, Inc. and 2003-2024 SciPy Developers; MINPACK-2 by
-B. M. Averick, R. G. Carter and J. J. Moré, Argonne National Laboratory and
-the University of Minnesota, 1993).
+The line search brackets a step that meets the weak Wolfe conditions,
+as Lewis & Overton (2013, "Nonsmooth optimization via quasi-Newton
+methods", Math. Programming 141) do for BFGS on nonsmooth functions.  The
+likelihood is built from a piecewise-linear template, so searches end at
+its kinks, where the strong Wolfe bound |g'd| <= c2 |g0'd| often cannot be
+met; the weak condition g'd >= c2 g0'd can, and it still gives s'y > 0.
 """
 
 from __future__ import annotations
@@ -34,9 +33,8 @@ import numpy as np
 FTOL = 2.220446049250313e-09  # relative reduction of f (factr 1e7 * eps)
 GTOL = 1e-5  # largest gradient entry
 _EPS = 2.220446049250313e-16
-# line search: sufficient decrease, curvature, relative bracket width, steps
-_LS_FTOL, _LS_GTOL, _LS_XTOL, _LS_MAXFEV = 1e-3, 0.9, 0.1, 20
-_STPMAX = 1e10
+# line search: sufficient decrease c1, curvature c2, calls per search
+_LS_C1, _LS_C2, _LS_MAXFEV = 1e-3, 0.9, 20
 
 
 @dataclass(frozen=True)
@@ -127,145 +125,37 @@ def _update(h, s, y, s_y) -> None:
     h += m + m.T
 
 
-def _line_search(fun, x, f0, gd0, d, stp):
-    """Moré–Thuente search for a step along d that satisfies the strong
-    Wolfe conditions, starting at ``stp``.
+def _line_search(fun, x, f0, gd0, d, t):
+    """Weak-Wolfe bracketing search along d from step ``t`` (Lewis &
+    Overton 2013).
 
-    Returns ((x, f, gradient) at the accepted step, or None after
-    ``_LS_MAXFEV`` calls without one, and the number of calls).  A step
-    with a non-finite value is halved towards the best step so far, and no
-    later step goes past the halved one.
+    Returns ((x, f, gradient) at the first step with f <= f0 + c1 t g0'd
+    and g'd >= c2 g0'd, or None after ``_LS_MAXFEV`` calls without one, and
+    the number of calls).  A step with a non-finite value or slope, or with
+    too little decrease, bounds the step from above; one where f still
+    falls steeply bounds it from below.  The next step doubles while there
+    is no upper bound and bisects the bracket otherwise, except after the
+    first finite step with too little decrease: that one moves to the
+    minimizer of the quadratic through f0, g0'd and f(t), kept within
+    [0.1 t, 0.5 t].
     """
-    gtest = _LS_FTOL * gd0
-    brackt, stage1 = False, True
-    width, width1 = _STPMAX, 2.0 * _STPMAX
-    stx = sty = 0.0
-    fx = fy = f0
-    gx = gy = gd0
-    stmin, stmax, stpmax = 0.0, 5.0 * stp, _STPMAX
+    lo, hi, interpolate = 0.0, math.inf, True
     for nfev in range(1, _LS_MAXFEV + 1):
-        xt = x + stp * d
-        f, g_full = fun(xt)
+        xt = x + t * d
+        f, g = fun(xt)
         f = float(f)
-        g = float(g_full @ d)
-        if not (math.isfinite(f) and math.isfinite(g)):
-            stp = stx + 0.5 * (stp - stx)
-            stpmax = min(stpmax, max(stp, stx))
-            continue
-        ftest = f0 + stp * gtest
-        if stage1 and f <= ftest and g >= 0.0:
-            stage1 = False
-        if (
-            (f <= ftest and abs(g) <= -_LS_GTOL * gd0)  # strong Wolfe: converged
-            or (brackt and (stp <= stmin or stp >= stmax))  # rounding errors
-            or (brackt and stmax - stmin <= _LS_XTOL * stmax)
-            or (stp == stpmax and f <= ftest and g <= gtest)
-        ):
-            return (xt, f, g_full), nfev
-
-        if stage1 and fx >= f > ftest:
-            # the modified function psi(a) = f(a) - a * gtest picks the step
-            stx, fxm, gxm, sty, fym, gym, stp, brackt = _dcstep(
-                stx, fx - stx * gtest, gx - gtest, sty, fy - sty * gtest,
-                gy - gtest, stp, f - stp * gtest, g - gtest, brackt, stmin, stmax,
-            )
-            fx, fy = fxm + stx * gtest, fym + sty * gtest
-            gx, gy = gxm + gtest, gym + gtest
-        else:
-            stx, fx, gx, sty, fy, gy, stp, brackt = _dcstep(
-                stx, fx, gx, sty, fy, gy, stp, f, g, brackt, stmin, stmax
-            )
-        if brackt:
-            if abs(sty - stx) >= 0.66 * width1:
-                stp = stx + 0.5 * (sty - stx)  # bisect
-            width1, width = width, abs(sty - stx)
-            stmin, stmax = min(stx, sty), max(stx, sty)
-        else:
-            stmin, stmax = stp + 1.1 * (stp - stx), stp + 4.0 * (stp - stx)
-        stp = min(max(stp, 0.0), stpmax)
-        if brackt and (stp <= stmin or stp >= stmax or stmax - stmin <= _LS_XTOL * stmax):
-            stp = stx  # no further progress possible: the best step so far
-    return None, _LS_MAXFEV
-
-
-def _dcstep(stx, fx, dx, sty, fy, dy, stp, fp, dp, brackt, stpmin, stpmax):
-    """One safeguarded step of the search (MINPACK-2 ``dcstep``).
-
-    (stx, fx, dx) is the best step with its value and slope, (sty, fy, dy)
-    the other end of the interval, (stp, fp, dp) the trial.  Returns the
-    updated interval, the next trial step and whether a minimizer is
-    bracketed.
-    """
-    sgnd = dp * math.copysign(1.0, dx)
-    if fp > fx:  # higher value: the minimum is bracketed
-        theta = 3.0 * (fx - fp) / (stp - stx) + dx + dp
-        gamma = _cubic_gamma(theta, dx, dp)
-        if stp < stx:
-            gamma = -gamma
-        p = (gamma - dx) + theta
-        q = ((gamma - dx) + gamma) + dp
-        stpc = stx + p / q * (stp - stx)
-        stpq = stx + ((dx / ((fx - fp) / (stp - stx) + dx)) / 2.0) * (stp - stx)
-        if abs(stpc - stx) < abs(stpq - stx):
-            stpf = stpc
-        else:
-            stpf = stpc + (stpq - stpc) / 2.0
-        brackt = True
-    elif sgnd < 0.0:  # lower value, slopes of opposite sign: bracketed
-        theta = 3.0 * (fx - fp) / (stp - stx) + dx + dp
-        gamma = _cubic_gamma(theta, dx, dp)
-        if stp > stx:
-            gamma = -gamma
-        p = (gamma - dp) + theta
-        q = ((gamma - dp) + gamma) + dx
-        stpc = stp + p / q * (stx - stp)
-        stpq = stp + (dp / (dp - dx)) * (stx - stp)
-        stpf = stpc if abs(stpc - stp) > abs(stpq - stp) else stpq
-        brackt = True
-    elif abs(dp) < abs(dx):  # lower value, same sign, slope shrinks
-        theta = 3.0 * (fx - fp) / (stp - stx) + dx + dp
-        gamma = _cubic_gamma(theta, dx, dp)
-        if stp > stx:
-            gamma = -gamma
-        p = (gamma - dp) + theta
-        q = (gamma + (dx - dp)) + gamma
-        r = p / q
-        if r < 0.0 and gamma != 0.0:
-            stpc = stp + r * (stx - stp)
-        else:
-            stpc = stpmax if stp > stx else stpmin
-        stpq = stp + (dp / (dp - dx)) * (stx - stp)
-        if brackt:
-            stpf = stpc if abs(stpc - stp) < abs(stpq - stp) else stpq
-            if stp > stx:
-                stpf = min(stp + 0.66 * (sty - stp), stpf)
+        gd = float(g @ d)
+        finite = math.isfinite(f) and math.isfinite(gd)
+        if not finite or f > f0 + _LS_C1 * t * gd0:
+            hi = t  # outside the domain or too little decrease: step back
+            if interpolate and finite:  # then f - f0 - gd0 t > 0
+                interpolate = False
+                t = min(max(-gd0 * t * t / (2.0 * (f - f0 - gd0 * t)), 0.1 * t), 0.5 * t)
             else:
-                stpf = max(stp + 0.66 * (sty - stp), stpf)
+                t = 0.5 * (lo + hi)
+        elif gd < _LS_C2 * gd0:
+            lo = t  # still steeply downhill: step on
+            t = 2.0 * t if hi == math.inf else 0.5 * (lo + hi)
         else:
-            stpf = stpc if abs(stpc - stp) > abs(stpq - stp) else stpq
-            stpf = min(max(stpf, stpmin), stpmax)
-    elif brackt:  # lower value, same sign, slope does not shrink
-        theta = 3.0 * (fp - fy) / (sty - stp) + dy + dp
-        gamma = _cubic_gamma(theta, dy, dp)
-        if stp > sty:
-            gamma = -gamma
-        p = (gamma - dp) + theta
-        q = ((gamma - dp) + gamma) + dy
-        stpf = stp + p / q * (sty - stp)
-    else:
-        stpf = stpmax if stp > stx else stpmin
-
-    if fp > fx:
-        sty, fy, dy = stp, fp, dp
-    else:
-        if sgnd < 0.0:
-            sty, fy, dy = stx, fx, dx
-        stx, fx, dx = stp, fp, dp
-    return stx, fx, dx, sty, fy, dy, stpf, brackt
-
-
-def _cubic_gamma(theta, d1, d2):
-    """The square-root term of the cubic that interpolates two values and
-    slopes d1, d2 (taken as 0 where rounding makes it negative)."""
-    s = max(abs(theta), abs(d1), abs(d2))
-    return s * math.sqrt(max(0.0, (theta / s) ** 2 - (d1 / s) * (d2 / s)))
+            return (xt, f, g), nfev
+    return None, _LS_MAXFEV

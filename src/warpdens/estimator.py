@@ -4,7 +4,7 @@ The density estimate is the warped, renormalized template
 g(gamma_c(t)) / integral g(gamma_c(t)) dt, maximized jointly over the
 coefficient vector c (restricted to the ball of radius 2*pi) and the
 height-ratio vector.  Optimization is multi-start BFGS (``bfgs.minimize``,
-full memory, with L-BFGS-B's line search and stopping rules) on an
+full memory, weak-Wolfe line search, L-BFGS-B's stopping rules) on an
 unconstrained reparameterization, driven by the analytic gradient of the
 likelihood; the basis dimension J is swept and the best AIC wins.
 """

@@ -11,7 +11,8 @@ import pytest
 from scipy.optimize import minimize as scipy_minimize
 from scipy.optimize import rosen, rosen_der
 
-from warpdens.bfgs import GTOL, _update, minimize
+from warpdens import bfgs
+from warpdens.bfgs import _LS_C1, _LS_C2, GTOL, _update, minimize
 
 
 def rosenbrock(x):
@@ -39,9 +40,10 @@ def test_convex_quadratic_reaches_its_minimizer(seed):
     "x0", [[-1.2, 1.0], [2.0, 2.0, 2.0, 2.0], [-1.0, 0.5, 1.5, -0.5, 0.3]]
 )
 def test_rosenbrock_reaches_scipys_minimizer(x0):
-    # the same line search and stopping rules as L-BFGS-B, but full-memory
-    # directions: the iterates differ, and the two searches stop a few 1e-6
-    # apart near the same minimizer, in a valley where f is flat to 1e-11
+    # the stopping rules of L-BFGS-B, but full-memory directions and a
+    # weak-Wolfe line search: the iterates differ, and the two searches stop
+    # a few 1e-6 apart near the same minimizer, in a valley where f is flat
+    # to 1e-11
     x0 = np.array(x0)
     ours = minimize(rosenbrock, x0, options={"maxiter": 1000})
     ref = scipy_minimize(rosenbrock, x0, jac=True, method="L-BFGS-B",
@@ -130,3 +132,65 @@ def test_update_keeps_secant_symmetry_and_positive_definiteness():
             assert h.tobytes() == h.T.tobytes()
             assert np.linalg.eigvalsh(h)[0] > 0.0
     assert pairs >= 300
+
+
+def kinked(w, a):
+    """sum w_i |x_i - a_i| + |x|^2 / 2, whose minimizer sits on the kinks
+    x_i = a_i wherever |a_i| <= w_i, as the likelihood's optima sit on the
+    kinks of its piecewise-linear template."""
+    def fun(x):
+        return float(w @ np.abs(x - a) + 0.5 * x @ x), w * np.sign(x - a) + x
+
+    x_star = np.where(np.abs(a) <= w, a, np.sign(a) * w)
+    return fun, fun(x_star)[0]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_line_search_on_a_kinked_objective(seed, monkeypatch):
+    rng = np.random.default_rng(seed)
+    n = 8
+    fun, f_star = kinked(rng.uniform(0.5, 2.0, n), rng.uniform(-2.0, 2.0, n))
+    searches = []
+
+    def recorded_search(fun, x, f0, gd0, d, t):
+        # the search runs from 0 on f(x + .), which takes the same trial
+        # points x + t d, so that each trial's step t can be read back
+        trials = []
+        k = int(np.argmax(np.abs(d)))
+
+        def shifted(z):
+            f, g = fun(x + z)
+            trials.append((z[k] / d[k], f, g))
+            return f, g
+
+        found, evals = line_search(shifted, np.zeros_like(x), f0, gd0, d, t)
+        searches.append((f0, gd0, d, t, trials, found))
+        return (None if found is None else (x + found[0], *found[1:])), evals
+
+    line_search = bfgs._line_search
+    monkeypatch.setattr(bfgs, "_line_search", recorded_search)
+    x0 = 3.0 * rng.standard_normal(n)
+    res = minimize(fun, x0, options={"maxiter": 200})
+
+    interpolated = 0
+    for f0, gd0, d, t0, trials, found in searches:
+        assert trials[0][0] == pytest.approx(t0, rel=1e-15)
+        if found is not None:
+            t, f, g = trials[-1]
+            assert f <= f0 + _LS_C1 * t * gd0 * (1.0 - 1e-15)  # sufficient decrease
+            assert float(g @ d) >= _LS_C2 * gd0  # weak curvature
+        failures = [i for i, (t, f, _) in enumerate(trials) if f > f0 + _LS_C1 * t * gd0]
+        for i in failures:
+            # the quadratic through f0, slope gd0 and f at t opens upwards
+            t, f, _ = trials[i]
+            denominator = 2.0 * (f - f0 - gd0 * t)
+            assert denominator > 0.0
+            if i == failures[0] and i + 1 < len(trials):
+                # its minimizer, kept within [0.1 t, 0.5 t], is the next trial
+                t_q = min(max(-gd0 * t * t / denominator, 0.1 * t), 0.5 * t)
+                assert trials[i + 1][0] == pytest.approx(t_q, rel=1e-12)
+                interpolated += 1
+    assert interpolated > 0
+    assert math.isfinite(res.fun) and res.fun <= fun(x0)[0]
+    assert "ftol" in res.message or "gtol" in res.message
+    assert res.fun - f_star <= 1e-3
