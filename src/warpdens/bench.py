@@ -384,6 +384,8 @@ def run_benchmark(
     ran replicates about 3x slower, as the fit's small numpy calls
     contend for the interpreter lock.
     """
+    if n < 1:
+        raise DomainError(f"n must be >= 1, got {n}")
     if spec.seed < 0:
         raise DomainError(f"seed must be >= 0, got {spec.seed}")
     if spec.replicates < 1:

@@ -99,19 +99,15 @@ def _parse_support(text: str) -> tuple[float, float]:
 
 
 # the flag that sets each FitConfig field its errors name
-_FLAGS = {"n_grid": "--grid", "j_min": "--jmin", "j_max": "--jmax",
-          "restarts": "--restarts", "omega": "--omega"}
+_FLAGS = {"j_max": "--jmax", "restarts": "--restarts"}
 
 
 def _fit_config(args, shape: ShapeSpec) -> FitConfig:
     try:
         return FitConfig(
             shape=shape,
-            j_min=args.jmin,
             j_max=args.jmax,
-            omega=args.omega,
             restarts=args.restarts,
-            n_grid=args.grid,
             seed=args.seed,
             support=args.support,
         )
@@ -254,12 +250,9 @@ def _add_fit_flags(p: _Parser) -> None:
         "--free-boundaries", action="store_true",
         help="free the boundary antimodes; boundary modes are always free",
     )
-    p.add_argument("--omega", type=float, default=1e-3)
-    p.add_argument("--jmin", type=int, default=2)
     p.add_argument("--jmax", type=int, default=10)
     p.add_argument("--restarts", type=int, default=16)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--grid", type=int, default=1024)
     p.add_argument(
         "--support", type=_parse_support, default=None, metavar="A,B",
         help="fixed support; write --support=A,B when A is negative",

@@ -90,6 +90,8 @@ def fit_conditional(
     """Weighted-likelihood density fit for the responses near cfg.x0."""
     x = np.asarray(x, float)
     y = np.asarray(y, float)
+    if x.ndim != 1 or y.ndim != 1:
+        raise DegenerateSampleError(f"need 1-D x and y, got {x.shape} and {y.shape}")
     if x.size != y.size:
         raise DegenerateSampleError("covariates and responses differ in length")
     if x.size < 20:

@@ -47,32 +47,26 @@ _VISIBLE = 4.0  # antimode depth in multiples of the least rise count_modes sees
 _PROJECTED_RADIUS = COEFF_RADIUS - 1e-6
 J_STEP = 2  # the J sweep adds one sin/cos pair at a time
 MAXITER = 400  # BFGS iterations per start
+OMEGA = 1e-3  # template floor: the height of the boundary antimodes
 
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Settings for a density fit: J steps by ``J_STEP``, each start runs at
-    most ``MAXITER`` iterations, and n_grid >= ``min_grid_size(j_max)``."""
+    """Settings for a density fit: J runs ``J_STEP``, 2 ``J_STEP``, ..., j_max,
+    each start runs at most ``MAXITER`` iterations, and the template floor
+    ``OMEGA`` and the ``DEFAULT_GRID_SIZE``-point grid are fixed."""
 
     shape: ShapeSpec
-    j_min: int = 2
     j_max: int = 10
-    omega: float = 1e-3
     restarts: int = 16
-    n_grid: int = DEFAULT_GRID_SIZE
     seed: int = 0
     support: tuple[float, float] | None = None  # None => estimate from data
 
     def __post_init__(self):
-        if self.j_min < 1 or self.j_min > self.j_max:
-            raise ConstraintError("need 1 <= j_min <= j_max")
+        if self.j_max < J_STEP or min_grid_size(self.j_max) > DEFAULT_GRID_SIZE:
+            raise ConstraintError(f"need {J_STEP} <= j_max <= {DEFAULT_GRID_SIZE - 2}")
         if self.restarts < 1:
             raise ConstraintError("restarts must be >= 1")
-        need = max(5, min_grid_size(self.j_max))
-        if self.n_grid < need:
-            raise ConstraintError(f"n_grid must be >= {need} at j_max={self.j_max}")
-        if not 0.0 < self.omega < 1.0:
-            raise ConstraintError("omega must satisfy 0 < omega < 1")
         if self.seed < 0:
             raise ConstraintError("seed must be >= 0")
         s = self.support
@@ -82,7 +76,7 @@ class FitConfig:
             raise ConstraintError("support must be None or two finite values A < B")
 
     def j_values(self) -> list[int]:
-        return list(range(self.j_min, self.j_max + 1, J_STEP))
+        return list(range(J_STEP, self.j_max + 1, J_STEP))
 
 
 @dataclass(frozen=True)
@@ -152,7 +146,7 @@ class _Objective:
     coefficient vector c is pulled back onto the feasible ball by radial
     projection when it leaves it.  The heights follow ``ShapeSpec``'s
     layout: the first mode is 1, the free levels come from u, and the
-    other levels (boundary antimodes) sit at omega.  Each free mode is
+    other levels (boundary antimodes) sit at ``OMEGA``.  Each free mode is
     exp(span * tanh(u / span)), within 1 / (2 rel_gap) of the first mode
     and of the others; every mode is free or the first one.  Each free
     antimode is sigmoid(u) * (cap - gap): cap is the lower neighboring
@@ -172,12 +166,11 @@ class _Objective:
         self,
         z: np.ndarray,
         shape: ShapeSpec,
-        omega: float,
         j: int,
-        n_grid: int,
         weights: np.ndarray | None,
     ):
         self.j = j
+        n_grid = DEFAULT_GRID_SIZE
         basis = fourier_basis(j, n_grid)
         self.t, self.b = basis.t, basis.b
         self.trap = np.full(n_grid, 1.0 / (n_grid - 1))  # trapezoid weights
@@ -193,18 +186,16 @@ class _Objective:
         ]
 
         self.free = shape.free_levels()  # the level of each height parameter
-        # free levels start at omega, below the first mode, so ``heights``
+        # free levels start at OMEGA, below the first mode, so ``heights``
         # finds the tallest mode before it sets the antimodes
         self.base_heights = level_heights(
-            shape, [omega] * len(self.free), omega
+            shape, [OMEGA] * len(self.free), OMEGA
         ).tolist()
         self.modes = [  # (parameter, level)
             (k, i) for k, i in enumerate(self.free) if levels[i].role == "high"
         ]
-        # free modes lie within exp(+-span) of 1; span halves with two or more,
-        # so they stay within 1 / (2 rel_gap) of each other; span > 0 needs this
-        if self.modes and self.rel_gap >= 0.5:
-            raise ConstraintError("n_grid too fine for count_modes to see a dip")
+        # free modes lie within exp(+-span) of 1 (span > 0 as rel_gap < 0.5); span
+        # halves with two or more, so they stay within 1 / (2 rel_gap) of each other
         self.span = math.log(0.5 / self.rel_gap) / min(2, max(1, len(self.modes)))
         last = len(levels) - 1
         self.antimodes = [  # (parameter, level, left and right neighbor levels)
@@ -361,14 +352,16 @@ def _kernel(
 
     ``build_template`` rejects an infeasible lambda with ConstraintError.
     """
-    kh = build_template(cfg.shape, lam, omega=cfg.omega, n=cfg.n_grid).knot_heights
-    obj = _Objective(z, cfg.shape, cfg.omega, c.size, cfg.n_grid, weights)
+    kh = build_template(cfg.shape, lam, omega=OMEGA, n=DEFAULT_GRID_SIZE).knot_heights
+    obj = _Objective(z, cfg.shape, c.size, weights)
     ll, p = obj.forward(c, kh)
     return ll, GridDensity(obj.t.copy(), p)  # obj.t is the cached basis grid
 
 
 def _check_sample(x: np.ndarray, weights: np.ndarray | None) -> np.ndarray | None:
     """Input checks shared by ``fit`` and ``log_likelihood``; returns the weights."""
+    if x.ndim != 1:
+        raise DegenerateSampleError(f"need a 1-D sample, got shape {x.shape}")
     if not np.all(np.isfinite(x)):
         raise DegenerateSampleError("samples must be finite (no NaN or inf)")
     if weights is None:
@@ -393,7 +386,7 @@ def log_likelihood(
     """Binned log-likelihood of unit-interval samples under the warped template.
 
     This is the function the fit maximizes (see ``_Objective``): log p is
-    interpolated linearly between the ``cfg.n_grid`` grid points (linear
+    interpolated linearly between the ``DEFAULT_GRID_SIZE`` grid points (linear
     binning, Fan & Marron 1994), so a sample in a trough narrower than a
     grid step scores too high.  With ``weights`` (summing to 1) the weighted
     form n * sum(w_i log p_i) is used.  Samples must lie in [0, 1].
@@ -429,7 +422,7 @@ def fit_fixed_j(
     j: int,
     cfg: FitConfig,
     weights: np.ndarray | None = None,
-) -> tuple[CoefficientVector, np.ndarray, float]:
+) -> tuple[CoefficientVector, np.ndarray, float, GridDensity]:
     """Best local optimum with the requested shape across BFGS runs.
 
     Each run is ``bfgs.minimize``, for at most ``MAXITER`` iterations, on
@@ -438,10 +431,11 @@ def fit_fixed_j(
     (identity warp, midpoint-feasible heights); the rest draw from
     per-restart streams seeded by ``cfg.seed``.  ``count_modes`` checks the
     finite results once each, best objective first (ties to the earliest
-    restart), and the first with the requested modes is returned.
+    restart), and the first with the requested modes is returned with its
+    log-likelihood and grid density.
     """
     z = np.asarray(z, float)
-    obj = _Objective(z, cfg.shape, cfg.omega, j, cfg.n_grid, weights)
+    obj = _Objective(z, cfg.shape, j, weights)
 
     starts = [np.zeros(obj.n_params)]
     for r in range(1, cfg.restarts + 1):
@@ -461,8 +455,9 @@ def fit_fixed_j(
         c = obj.project(theta[:j])[0]
         heights = obj.heights(theta[j:])[0]
         ll, p = obj.forward(c, heights[obj.knot_levels])
-        if count_modes(GridDensity(obj.t, p)) == n_modes:
-            return CoefficientVector(c), heights[obj.free], ll
+        dens = GridDensity(obj.t.copy(), p)  # obj.t is the cached basis grid
+        if count_modes(dens) == n_modes:
+            return CoefficientVector(c), heights[obj.free], ll, dens
     raise OptimizationError(f"J={j}: no restart's grid density has {n_modes} modes")
 
 
@@ -487,17 +482,16 @@ def fit(
     best = None
     for j in cfg.j_values():
         try:
-            c, lam, ll = fit_fixed_j(z, j, cfg, weights=weights)
+            c, lam, ll, dens = fit_fixed_j(z, j, cfg, weights=weights)
         except OptimizationError:
             continue  # no candidate with the requested shape at this J
         k = j + lam.size
         aic = 2.0 * k - 2.0 * ll
         if best is None or aic < best[0] - _AIC_TIE:
-            best = (aic, j, c, lam, ll)
+            best = (aic, j, c, lam, ll, dens)
     if best is None:
         raise OptimizationError(f"no J in {cfg.j_values()} gave a fit")
-    aic, j, c, lam, ll = best
-    dens = _kernel(z, c.c, lam, cfg, weights)[1]
+    aic, j, c, lam, ll, dens = best
     n_eff = None
     if weights is not None:
         n_eff = float(1.0 / np.sum(weights**2))

@@ -212,18 +212,23 @@ class TestRunBenchmark:
             run_benchmark(small_spec(), 60)
 
     @pytest.mark.parametrize(
-        "change, match",
-        [({"seed": -1}, "seed"), ({"replicates": 0}, "replicates")],
-        ids=["seed", "replicates"],
+        "change, n, match",
+        [
+            ({"seed": -1}, 60, "seed"),
+            ({"replicates": 0}, 60, "replicates"),
+            ({}, 0, "n must be >= 1"),
+        ],
+        ids=["seed", "replicates", "n"],
     )
     def test_invalid_spec_rejected_before_any_replicate(
-        self, monkeypatch, change, match
+        self, monkeypatch, tmp_path, change, n, match
     ):
         ran = []
         monkeypatch.setattr(bench, "_run_replicate", lambda *args: ran.append(args))
         with pytest.raises(DomainError, match=match):
-            run_benchmark(small_spec(**change), 60)
+            run_benchmark(small_spec(**change), n, out_dir=str(tmp_path / "out"))
         assert ran == []
+        assert list(tmp_path.iterdir()) == []
 
     def test_single_replicate_zero_sd(self):
         summary = run_benchmark(small_spec(replicates=1), 60)

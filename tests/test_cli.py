@@ -130,24 +130,13 @@ class TestFitCommand:
         assert capsys.readouterr().err == "error: seed must be >= 0\n"
         assert not out.exists()
 
-    def test_grid_that_aliases_the_basis_exit_4(self, sample_csv, tmp_path, capsys):
-        out = tmp_path / "x.json"
-        code = main(["fit", str(sample_csv), "-o", str(out), "--modes", "1",
-                     "--grid", "8"])
-        assert code == 4
-        err = capsys.readouterr().err
-        assert "n_grid must be >= 12" in err
-        assert "--grid" in err and "--jmax" in err
-        assert not out.exists()
-
     @pytest.mark.parametrize(
         "flags, named",
         [
-            (["--jmin", "5", "--jmax", "4"], ["--jmin", "--jmax"]),
+            (["--jmax", "1"], ["--jmax"]),
             (["--restarts", "0"], ["--restarts"]),
-            (["--omega", "1.5"], ["--omega"]),
         ],
-        ids=["jmin-above-jmax", "restarts", "omega"],
+        ids=["jmax-below-step", "restarts"],
     )
     def test_config_error_names_the_flag_exit_4(
         self, flags, named, sample_csv, tmp_path, capsys
@@ -173,6 +162,19 @@ class TestFitCommand:
         assert err.startswith("error: ") and bad in err
         left = sorted(p.name for p in tmp_path.iterdir())
         assert left == (["fit.json", "sample.csv"] if curve else ["sample.csv"])
+
+
+@pytest.mark.parametrize("command", ["fit", "cfit"])
+@pytest.mark.parametrize(
+    "flags", [["--grid", "1024"], ["--jmin", "2"], ["--omega", "0.001"]],
+    ids=["grid", "jmin", "omega"],
+)
+def test_fixed_settings_are_not_flags_exit_64(command, flags, sample_csv, tmp_path):
+    # the fit's grid, first J and template floor are constants
+    out = tmp_path / "x.json"
+    code = main([command, str(sample_csv), "-o", str(out), "--modes", "1", *flags])
+    assert code == 64
+    assert not out.exists()
 
 
 def test_failed_curve_write_leaves_no_temp_file(tmp_path):
@@ -287,8 +289,9 @@ class TestBenchCommand:
         [
             (["--seed", "-1"], "error: seed must be >= 0, got -1\n"),
             (["--reps", "0"], "error: replicates must be >= 1, got 0\n"),
+            (["--n", "-1"], "error: n must be >= 1, got -1\n"),
         ],
-        ids=["seed", "reps"],
+        ids=["seed", "reps", "n"],
     )
     def test_invalid_run_exit_4(self, tmp_path, capsys, flags, message):
         code = main(["bench", "symmetric-unimodal", "--n", "60",

@@ -189,6 +189,17 @@ class TestFitConditional:
             fit_conditional(np.arange(5.0), np.arange(5.0), cfg)
 
     @pytest.mark.parametrize("column", ["x", "y"])
+    def test_non_1d_column_rejected(self, column):
+        rng = np.random.default_rng(12)
+        data = {"x": rng.normal(0, 1, 60), "y": rng.normal(0, 1, 60)}
+        data[column] = data[column].reshape(30, 2)
+        cfg = ConditionalFitConfig(
+            base=FitConfig(shape=ShapeSpec.modes(1)), x0=0.0
+        )
+        with pytest.raises(DegenerateSampleError, match="1-D"):
+            fit_conditional(data["x"], data["y"], cfg)
+
+    @pytest.mark.parametrize("column", ["x", "y"])
     def test_non_finite_pair_rejected(self, column):
         rng = np.random.default_rng(12)
         data = {"x": rng.normal(0, 1, 60), "y": rng.normal(0, 1, 60)}

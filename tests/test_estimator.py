@@ -88,12 +88,11 @@ class TestLogLikelihood:
         # c=0, M=1: density is the normalized triangle; compare to the
         # binned log-likelihood of that density, built without the kernel
         shape = ShapeSpec.modes(1)
-        omega = 1e-3
         z = np.linspace(0.05, 0.95, 19)
-        tmpl = build_template(shape, np.empty(0), omega=omega, n=4097)
+        tmpl = build_template(shape, np.empty(0), omega=1e-3, n=1024)
         p = template_density(tmpl)
         expect = binned_loglik(z, np.log(p.p))
-        cfg = FitConfig(shape=shape, omega=omega, n_grid=4097)
+        cfg = FitConfig(shape=shape)
         got = log_likelihood(z, CoefficientVector(np.zeros(4)), np.empty(0), cfg)
         assert abs(got - expect) < 1e-6
 
@@ -135,7 +134,7 @@ class TestLogLikelihood:
         z = np.array([0.3, 0.5, 0.7])
         cfg = FitConfig(shape=shape)
         got = log_likelihood(z, CoefficientVector(np.zeros(2)), lam, cfg)
-        tmpl = build_template(shape, lam, omega=cfg.omega, n=cfg.n_grid)
+        tmpl = build_template(shape, lam, omega=1e-3, n=1024)
         expect = binned_loglik(z, np.log(tmpl.g))
         expect -= z.size * math.log(np.trapezoid(tmpl.g, tmpl.t))
         assert math.isfinite(got)
@@ -147,8 +146,9 @@ class TestLogLikelihood:
             ([-0.5, 0.3, 1.5], None, DomainError),
             ([np.nan, 0.3, 0.7], None, DegenerateSampleError),
             ([0.2, 0.3, 0.7], [-1.0, 1.0, 1.0], DomainError),
+            ([[0.2, 0.3], [0.5, 0.7]], None, DegenerateSampleError),
         ],
-        ids=["outside-unit-interval", "nan", "negative-weight"],
+        ids=["outside-unit-interval", "nan", "negative-weight", "2-d"],
     )
     def test_invalid_input_rejected(self, z, weights, error):
         cfg = FitConfig(shape=ShapeSpec.modes(1))
@@ -161,16 +161,16 @@ class TestConfigValidation:
     @pytest.mark.parametrize(
         "change",
         [
-            {"n_grid": 4},
-            {"n_grid": 11, "j_max": 10},  # grids that alias the Fourier basis
-            {"n_grid": 8},
-            {"omega": 2.0},
-            {"omega": 0.0},
+            {"j_max": 1},  # below the first J of the sweep
+            {"j_max": 1023},  # aliased on the 1024-point grid
+            {"restarts": 0},
             {"seed": -1},
             {"support": (-math.inf, 5.0)},
             {"support": (-5.0, math.inf)},
             {"support": (math.nan, 5.0)},
             {"support": (5.0, -5.0)},
+            {"support": (5.0, 5.0)},
+            {"support": (-5.0, 0.0, 5.0)},
         ],
     )
     def test_rejected(self, change):
@@ -178,17 +178,9 @@ class TestConfigValidation:
             FitConfig(shape=ShapeSpec.modes(1), **change)
 
     def test_coarsest_grid_for_the_basis_accepted(self):
-        assert FitConfig(shape=ShapeSpec.modes(1), n_grid=12).j_max == 10
-
-    def test_grid_too_fine_for_a_free_mode(self):
-        # at 600,000 points count_modes could not see the dip between two
-        # modes; one mode has no free height, so the grid is accepted there
-        z = np.array([0.2, 0.5, 0.8])
-        with pytest.raises(ConstraintError, match="too fine"):
-            _Objective(z, ShapeSpec.modes(2), 1e-3, 2, 600_000, None)
-        cfg = FitConfig(shape=ShapeSpec.modes(1), n_grid=600_000)
-        ll = log_likelihood(z, CoefficientVector(np.zeros(2)), np.empty(0), cfg)
-        assert math.isfinite(ll)
+        # the 1024-point grid is the coarsest that resolves 1022 functions
+        cfg = FitConfig(shape=ShapeSpec.modes(1), j_max=1022)
+        assert cfg.j_values()[-1] == 1022
 
 
 GRADIENT_SHAPES = [
@@ -246,12 +238,12 @@ class TestObjective:
         # every mode is free or the first one, and no free mode is more than
         # 1 / (2 rel_gap) times another or the first one, so the unwarped
         # template shows every mode and antimode
-        obj = _Objective(np.array([0.5]), shape, 1e-3, 2, 1024, None)
+        obj = _Objective(np.array([0.5]), shape, 2, None)
         heights = obj.heights(np.array(u[: obj.n_params - 2]))[0]
         modes = [i for i, lv in enumerate(shape.levels()) if lv.role == "high"]
         ratio = heights[modes].max() / heights[modes].min()
         assert ratio <= (0.5 / obj.rel_gap) * (1.0 + 1e-12)
-        cfg = FitConfig(shape=shape, n_grid=1024)
+        cfg = FitConfig(shape=shape)
         lam = heights[obj.free]
         assert np.all(lam > 0.0)
         ll, dens = _kernel(np.array([0.5]), np.zeros(2), lam, cfg, None)
@@ -276,7 +268,7 @@ class TestObjective:
         w = rng.uniform(0.0, 1.0, z.size) if weighted else None
         if w is not None:
             w /= w.sum()
-        obj = _Objective(z, shape, 1e-3, j, 1024, w)
+        obj = _Objective(z, shape, j, w)
         theta = np.empty(obj.n_params)
         direction = rng.standard_normal(j)
         direction /= np.linalg.norm(direction)
@@ -307,7 +299,7 @@ class TestObjective:
         # the kernel reuses its work buffers from call to call; the search
         # keeps the previous gradient, and callers keep the density
         z = np.random.default_rng(13).beta(2.0, 2.0, 300)
-        obj = _Objective(z, ShapeSpec.modes(2), 1e-3, 4, 1024, None)
+        obj = _Objective(z, ShapeSpec.modes(2), 4, None)
         theta_a, theta_b = (
             _random_start(obj, np.random.default_rng([13, r])) for r in (1, 2)
         )
@@ -334,13 +326,13 @@ class TestObjective:
     def test_saturated_antimodes_keep_mode_count(self, m, u_mode):
         # sigmoid(50) rounds to 1; the antimode must still sit below its cap
         shape = ShapeSpec.modes(m)
-        obj = _Objective(np.array([0.5]), shape, 1e-3, 2, 1024, None)
+        obj = _Objective(np.array([0.5]), shape, 2, None)
         theta = np.zeros(obj.n_params)
         theta[2:] = u_mode
         for k, *_ in obj.antimodes:
             theta[2 + k] = 50.0
         lam = obj.heights(theta[2:])[0][obj.free]
-        cfg = FitConfig(shape=shape, n_grid=1024)
+        cfg = FitConfig(shape=shape)
         dens = _kernel(np.array([0.5]), theta[:2], lam, cfg, None)[1]
         assert count_modes(dens) == m
 
@@ -358,7 +350,7 @@ class TestObjective:
         w = rng.uniform(0.0, 1.0, z.size) if weighted else None
         if w is not None:
             w /= w.sum()
-        obj = _Objective(z, shape, 1e-3, j, 1024, w)
+        obj = _Objective(z, shape, j, w)
         theta = np.empty(obj.n_params)
         direction = rng.standard_normal(j)
         direction /= np.linalg.norm(direction)
@@ -370,7 +362,7 @@ class TestObjective:
 
         f = obj.value_and_grad(theta)[0]
         assert math.isfinite(f)
-        cfg = FitConfig(shape=shape, n_grid=1024)
+        cfg = FitConfig(shape=shape)
         ll = log_likelihood(z, CoefficientVector(c), lam, cfg, w)
         assert abs(ll + f) <= 1e-9 * abs(ll)
 
@@ -390,7 +382,7 @@ class TestObjective:
         shapes = []
         for n in (1000, 20000):
             z = rng.beta(2.0, 2.0, n)
-            obj = _Objective(z, ShapeSpec.modes(2), 1e-3, 8, 1024, None)
+            obj = _Objective(z, ShapeSpec.modes(2), 8, None)
             arrays = {
                 k: a.shape for k, a in vars(obj).items() if isinstance(a, np.ndarray)
             }
@@ -412,7 +404,7 @@ class TestObjective:
         z = np.append(rng.beta(2.0, 2.0, 500), [0.0, 1.0])
         w = rng.uniform(0.0, 1.0, z.size) if weighted else np.ones(z.size)
         w /= w.sum()
-        obj = _Objective(z, ShapeSpec.modes(m), 1e-3, j, 1024, w if weighted else None)
+        obj = _Objective(z, ShapeSpec.modes(m), j, w if weighted else None)
         wt = z.size * w  # the likelihood weights
         direction = rng.standard_normal(j)
         direction /= np.linalg.norm(direction)
@@ -455,7 +447,7 @@ class TestFitFixedJ:
         z = np.sort(rng.beta(2, 4, 300))
         shape = ShapeSpec.modes(1)
         cfg = FitConfig(shape=shape, restarts=4, seed=1)
-        _, _, ll = fit_fixed_j(z, 4, cfg)
+        _, _, ll, _ = fit_fixed_j(z, 4, cfg)
         ll0 = log_likelihood(z, CoefficientVector(np.zeros(4)), np.empty(0), cfg)
         assert ll >= ll0
 
@@ -470,10 +462,12 @@ class TestFitFixedJ:
         )
         z = rescale_to_unit(x, *estimate_support(x))
         for j in cfg.j_values():
-            c, lam, ll = fit_fixed_j(z, j, cfg)
-            ll_kernel, dens = _kernel(z, c.c, lam, cfg, None)
+            c, lam, ll, dens = fit_fixed_j(z, j, cfg)
+            ll_kernel, dens_kernel = _kernel(z, c.c, lam, cfg, None)
             assert count_modes(dens) == 2, f"J={j}, lambda={lam}"
             assert math.isfinite(ll) and ll == ll_kernel
+            assert np.array_equal(dens.t, dens_kernel.t)
+            assert np.array_equal(dens.p, dens_kernel.p)
 
     def test_wrong_shape_at_zero_warp_raises(self, monkeypatch):
         # every restart's density is checked once, and none passes
@@ -505,12 +499,12 @@ class TestFitFixedJ:
         rng = np.random.default_rng(12)
         z = np.concatenate([rng.beta(3, 9, 150), rng.beta(9, 3, 150)])
         cfg = FitConfig(shape=ShapeSpec.modes(2), restarts=3)
-        c, lam, ll = fit_fixed_j(z, 4, cfg)
+        c, lam, ll, _ = fit_fixed_j(z, 4, cfg)
 
         assert len(calls) == 2
         ranked = sorted(run for run in runs if math.isfinite(run[0]))
         fun, _, theta = ranked[1]
-        obj = _Objective(z, cfg.shape, cfg.omega, 4, cfg.n_grid, None)
+        obj = _Objective(z, cfg.shape, 4, None)
         assert np.array_equal(c.c, obj.project(theta[:4])[0])
         assert ll == -fun
         assert ll == _kernel(z, c.c, lam, cfg, None)[0]
@@ -528,7 +522,7 @@ class TestFitFixedJ:
         for seed in range(5):
             rng = np.random.default_rng(seed)
             z = np.interp(rng.uniform(0, 1, 5000), cdf, p.t)
-            c_hat, lam_hat, _ = fit_fixed_j(
+            c_hat, lam_hat, _, _ = fit_fixed_j(
                 z, 2, FitConfig(shape=shape, restarts=6, seed=seed)
             )
             warp = coeffs_to_warp(c_hat, fourier_basis(2, 4097))
@@ -584,6 +578,12 @@ class TestFit:
     def test_small_sample_rejected(self):
         with pytest.raises(DegenerateSampleError):
             fit(np.array([0.1, 0.2, 0.3]), FitConfig(shape=ShapeSpec.modes(1)))
+
+    @pytest.mark.parametrize("shape", [(20, 2), (1, 20)])
+    def test_non_1d_sample_rejected(self, shape):
+        x = np.random.default_rng(15).random(shape)
+        with pytest.raises(DegenerateSampleError, match="1-D"):
+            fit(x, FitConfig(shape=ShapeSpec.modes(1), restarts=1))
 
     @pytest.mark.parametrize(
         "weights, match",
