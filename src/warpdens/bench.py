@@ -4,9 +4,10 @@ The registry mirrors the simulation scenarios used to evaluate the
 method: unimodal / bimodal / trimodal normal mixtures, a Beta density
 with known support, monotone truncated normals, a trapezoid with a flat
 mode, and two conditional setups.  Mixture parameters are read as
-(mean, variance).  The components are small closed-form laws that draw
-from a numpy Generator exactly as scipy.stats' frozen ``rvs`` does, so
-the library needs nothing from scipy.stats.
+(mean, variance).  Every density has ``pdf(x)`` and ``sample(n, rng)``.
+The components are small closed-form laws whose ``sample`` draws from a
+numpy Generator exactly as scipy.stats' frozen ``rvs`` does, so the
+library needs nothing from scipy.stats.
 """
 
 from __future__ import annotations
@@ -26,16 +27,6 @@ from .estimator import DensityEstimate, FitConfig, fit
 from .templates import ShapeSpec
 
 
-class AnalyticDensity:
-    """Interface: pdf(x) vectorized, sample(n, rng)."""
-
-    def pdf(self, x):  # pragma: no cover - interface
-        raise NotImplementedError
-
-    def sample(self, n, rng):  # pragma: no cover - interface
-        raise NotImplementedError
-
-
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
@@ -48,11 +39,8 @@ class Normal:
         z = (np.asarray(x, float) - self.loc) / self.scale
         return np.exp(-z * z / 2.0) / _SQRT_2PI / self.scale
 
-    def rvs(self, size, random_state):
-        return random_state.standard_normal(size) * self.scale + self.loc
-
-    def mean(self) -> float:
-        return self.loc
+    def sample(self, n, rng):
+        return rng.standard_normal(n) * self.scale + self.loc
 
 
 @dataclass(frozen=True)
@@ -64,11 +52,8 @@ class Laplace:
         z = (np.asarray(x, float) - self.loc) / self.scale
         return np.exp(-np.abs(z)) / 2.0 / self.scale
 
-    def rvs(self, size, random_state):
-        return random_state.laplace(0.0, 1.0, size) * self.scale + self.loc
-
-    def mean(self) -> float:
-        return self.loc
+    def sample(self, n, rng):
+        return rng.laplace(0.0, 1.0, n) * self.scale + self.loc
 
 
 @dataclass(frozen=True)
@@ -87,16 +72,13 @@ class Beta:
         logp = log_norm + (a - 1.0) * np.log(u) + (b - 1.0) * np.log1p(-u)
         return np.where(inside, np.exp(logp), 0.0)
 
-    def rvs(self, size, random_state):
-        return random_state.beta(self.a, self.b, size)
-
-    def mean(self) -> float:
-        return self.a / (self.a + self.b)
+    def sample(self, n, rng):
+        return rng.beta(self.a, self.b, n)
 
 
 @dataclass(frozen=True)
-class Mixture(AnalyticDensity):
-    """Mixture of components with ``pdf``, ``rvs`` and ``mean``."""
+class Mixture:
+    """Mixture of components with ``pdf`` and ``sample``."""
 
     weights: tuple[float, ...]
     components: tuple
@@ -110,16 +92,10 @@ class Mixture(AnalyticDensity):
 
     def sample(self, n, rng):
         counts = rng.multinomial(n, self.weights)
-        draws = [
-            comp.rvs(size=k, random_state=rng)
-            for k, comp in zip(counts, self.components)
-        ]
+        draws = [comp.sample(k, rng) for k, comp in zip(counts, self.components)]
         x = np.concatenate([d for d in draws if d.size] or [np.empty(0)])
         rng.shuffle(x)
         return x
-
-    def mean(self) -> float:
-        return sum(w * c.mean() for w, c in zip(self.weights, self.components))
 
 
 def normal_mixture(*parts: tuple[float, float, float]) -> Mixture:
@@ -130,10 +106,10 @@ def normal_mixture(*parts: tuple[float, float, float]) -> Mixture:
 
 
 @dataclass(frozen=True)
-class Truncated(AnalyticDensity):
+class Truncated:
     """A base density restricted to [lo, hi], sampled by rejection."""
 
-    base: AnalyticDensity
+    base: Mixture
     lo: float
     hi: float
 
@@ -155,7 +131,7 @@ class Truncated(AnalyticDensity):
 
 
 @dataclass(frozen=True)
-class Trapezoid(AnalyticDensity):
+class Trapezoid:
     """Density proportional to x, 1/3, (1-x) on thirds of [0,1]."""
 
     def pdf(self, x):
@@ -178,20 +154,12 @@ class Trapezoid(AnalyticDensity):
         return out[:n]
 
 
-@dataclass(frozen=True)
 class ConditionalSetup:
-    """Covariate sampler plus the response law given the covariate."""
-
-    name: str
+    """Standard normal covariates; subclasses give ``sample_y(x, rng)`` and
+    ``true_conditional(x0)``, the response law given the covariate."""
 
     def sample_x(self, n, rng):
-        return Normal(0.0, 1.0).rvs(size=n, random_state=rng)
-
-    def sample_y(self, x, rng):
-        raise NotImplementedError
-
-    def true_conditional(self, x0: float) -> AnalyticDensity:
-        raise NotImplementedError
+        return Normal(0.0, 1.0).sample(n, rng)
 
 
 class _BimodalConditional(ConditionalSetup):
@@ -211,14 +179,14 @@ class _UnimodalConditional(ConditionalSetup):
         return rng.laplace((2.0 * x - 1.0) ** 2, 1.0)
 
     def true_conditional(self, x0):
-        return Mixture((1.0,), (Laplace((2.0 * x0 - 1.0) ** 2, 1.0),))
+        return Laplace((2.0 * x0 - 1.0) ** 2, 1.0)
 
 
 @dataclass(frozen=True)
 class BenchmarkSpec:
     name: str
     shape: ShapeSpec
-    true_density: AnalyticDensity | None = None
+    true_density: Mixture | Truncated | Trapezoid | None = None
     conditional: ConditionalSetup | None = None
     support: tuple[float, float] | None = None
     sample_sizes: tuple[int, ...] = (100, 500, 1000)
@@ -289,20 +257,18 @@ _register(BenchmarkSpec(
 _register(BenchmarkSpec(
     name="cond-unimodal",
     shape=ShapeSpec.modes(1),
-    conditional=_UnimodalConditional("cond-unimodal"),
+    conditional=_UnimodalConditional(),
     sample_sizes=(1000,),
 ))
 _register(BenchmarkSpec(
     name="cond-bimodal",
     shape=ShapeSpec.modes(2),
-    conditional=_BimodalConditional("cond-bimodal"),
+    conditional=_BimodalConditional(),
     sample_sizes=(1000,),
 ))
 
 
-def error_norms(
-    est: DensityEstimate, true_density: AnalyticDensity
-) -> tuple[float, float, float]:
+def error_norms(est: DensityEstimate, true_density) -> tuple[float, float, float]:
     """(L1, L2, Linf) of the estimate minus the truth, in data units."""
     a, b = est.support
     grid = np.linspace(a, b, 1024)

@@ -117,9 +117,9 @@ def _fit_config(args, shape: ShapeSpec) -> FitConfig:
         raise ConstraintError(f"{msg} (set by {flags})" if flags else msg) from None
 
 
-def _estimate_payload(est: DensityEstimate, grid_points: int = 512) -> dict:
+def _estimate_payload(est: DensityEstimate) -> dict:
     a, b = est.support
-    xs = np.linspace(a, b, grid_points)
+    xs = np.linspace(a, b, 512)
     ps = est.pdf(xs)
     payload = {
         "schema": 1,

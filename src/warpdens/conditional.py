@@ -25,17 +25,12 @@ class ConditionalFitConfig:
     base: FitConfig
     x0: float
     neighbor_fraction: float = 0.5
-    bandwidth: float | None = None  # None => adaptive two-step rule
 
     def __post_init__(self):
         if not 0.0 < self.neighbor_fraction <= 1.0:
             raise DomainError("neighbor_fraction must be in (0, 1]")
         if not math.isfinite(self.x0):
             raise DomainError("x0 must be finite")
-        if self.bandwidth is not None and not (
-            math.isfinite(self.bandwidth) and self.bandwidth > 0.0
-        ):
-            raise DomainError("bandwidth must be None, or finite and > 0")
 
 
 def pilot_bandwidth(x: np.ndarray) -> float:
@@ -99,10 +94,7 @@ def fit_conditional(
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
         raise DegenerateSampleError("covariates and responses must be finite")
 
-    if cfg.bandwidth is not None:
-        h_x0 = cfg.bandwidth
-    else:
-        h_x0 = adaptive_bandwidth(x, cfg.x0, pilot_bandwidth(x))
+    h_x0 = adaptive_bandwidth(x, cfg.x0, pilot_bandwidth(x))
     w_all = compute_weights(x, cfg.x0, h_x0, cfg.neighbor_fraction)
     keep = np.flatnonzero(w_all > 0)
     y_kept = y[keep]

@@ -12,6 +12,7 @@ likelihood; the basis dimension J is swept and the best AIC wins.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,6 +64,9 @@ class FitConfig:
     support: tuple[float, float] | None = None  # None => estimate from data
 
     def __post_init__(self):
+        for name in ("j_max", "restarts", "seed"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ConstraintError(f"{name} must be an integer")
         if self.j_max < J_STEP or min_grid_size(self.j_max) > DEFAULT_GRID_SIZE:
             raise ConstraintError(f"need {J_STEP} <= j_max <= {DEFAULT_GRID_SIZE - 2}")
         if self.restarts < 1:
@@ -91,7 +95,7 @@ class DensityEstimate:
     loglik: float
     aic: float
     support: tuple[float, float]
-    n_eff: float | None = None
+    n_eff: float | None = None  # n_eff, bandwidth and x0 are set by fit_conditional
     bandwidth: float | None = None
     x0: float | None = None
 
@@ -396,6 +400,8 @@ def log_likelihood(
     if np.any((z < 0.0) | (z > 1.0)):
         raise DomainError("unit-interval samples must lie in [0, 1]")
     cc = np.asarray(c.c, float)
+    if cc.ndim != 1:
+        raise DomainError(f"need a 1-D coefficient vector, got shape {cc.shape}")
     if np.linalg.norm(cc) > COEFF_RADIUS + 1e-9:
         raise ConstraintError("coefficient vector outside the feasible ball")
     return _kernel(z, cc, lam, cfg, weights)[0]
@@ -492,9 +498,6 @@ def fit(
     if best is None:
         raise OptimizationError(f"no J in {cfg.j_values()} gave a fit")
     aic, j, c, lam, ll, dens = best
-    n_eff = None
-    if weights is not None:
-        n_eff = float(1.0 / np.sum(weights**2))
     return DensityEstimate(
         t=dens.t,
         p=dens.p,
@@ -504,5 +507,4 @@ def fit(
         loglik=ll,
         aic=aic,
         support=tuple(float(s) for s in support),
-        n_eff=n_eff,
     )

@@ -157,9 +157,6 @@ class TemplateFunction:
     g: np.ndarray
     knots: np.ndarray
     knot_heights: np.ndarray
-    shape: ShapeSpec
-    omega: float
-    lam: np.ndarray
 
 
 def build_template(
@@ -173,7 +170,6 @@ def build_template(
     Raises ConstraintError when the heights are not consistent with the
     piece directions (the feasibility set of the height-ratio vector).
     """
-    lam = np.atleast_1d(np.asarray(lam, float))
     knot_heights = level_heights(shape, lam, omega)[shape.knot_levels()]
     for i, p in enumerate(shape.pieces):
         lo, hi = knot_heights[i], knot_heights[i + 1]
@@ -183,7 +179,7 @@ def build_template(
             raise ConstraintError(f"piece {i} must decrease ({lo:.4g} -> {hi:.4g})")
     t = unit_grid(n)
     g = np.interp(t, shape.knots, knot_heights)
-    return TemplateFunction(t, g, shape.knots, knot_heights, shape, float(omega), lam)
+    return TemplateFunction(t, g, shape.knots, knot_heights)
 
 
 @dataclass(frozen=True)

@@ -156,6 +156,12 @@ class TestLogLikelihood:
         with pytest.raises(error):
             log_likelihood(np.array(z), c, np.empty(0), cfg, weights)
 
+    def test_non_vector_coefficients_rejected(self):
+        cfg = FitConfig(shape=ShapeSpec.modes(1))
+        c = CoefficientVector(np.zeros((2, 2)))
+        with pytest.raises(DomainError):
+            log_likelihood(np.array([0.2, 0.5]), c, np.empty(0), cfg)
+
 
 class TestConfigValidation:
     @pytest.mark.parametrize(
@@ -171,6 +177,9 @@ class TestConfigValidation:
             {"support": (5.0, -5.0)},
             {"support": (5.0, 5.0)},
             {"support": (-5.0, 0.0, 5.0)},
+            {"j_max": 4.0},
+            {"restarts": 1.5},
+            {"seed": 0.5},
         ],
     )
     def test_rejected(self, change):
@@ -181,6 +190,15 @@ class TestConfigValidation:
         # the 1024-point grid is the coarsest that resolves 1022 functions
         cfg = FitConfig(shape=ShapeSpec.modes(1), j_max=1022)
         assert cfg.j_values()[-1] == 1022
+
+    def test_numpy_integers_accepted(self):
+        cfg = FitConfig(
+            shape=ShapeSpec.modes(1),
+            j_max=np.int64(4),
+            restarts=np.int64(2),
+            seed=np.int64(3),
+        )
+        assert cfg.j_values() == [2, 4]
 
 
 GRADIENT_SHAPES = [
