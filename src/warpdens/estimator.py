@@ -2,11 +2,12 @@
 
 The density estimate is the warped, renormalized template
 g(gamma_c(t)) / integral g(gamma_c(t)) dt, maximized jointly over the
-coefficient vector c (restricted to the ball of radius 2*pi) and the
-height-ratio vector.  Optimization is multi-start BFGS (``bfgs.minimize``,
-full memory, weak-Wolfe line search, L-BFGS-B's stopping rules) on an
-unconstrained reparameterization, driven by the analytic gradient of the
-likelihood; the basis dimension J is swept and the best AIC wins.
+coefficient vector c and the height-ratio vector.  Optimization is
+multi-start BFGS (``bfgs.minimize``, full memory, weak-Wolfe line search,
+L-BFGS-B's stopping rules) on an unconstrained reparameterization, driven by
+the analytic gradient of the likelihood; the basis dimension J is swept and
+the best AIC wins.  Each result's c is reported at the copy of its warp in
+the ball ||c|| <= pi/2 (``_fold``).
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from .errors import (
     OptimizationError,
 )
 from .geometry import (
-    COEFF_RADIUS,
     DEFAULT_GRID_SIZE,
     _THETA_FLOOR,
     CoefficientVector,
@@ -45,7 +45,6 @@ from .templates import (
 _AIC_TIE = 1e-9
 _U_CLIP = 30.0  # height parameters are clipped here (sigmoid(-30) ~ 1e-13)
 _VISIBLE = 4.0  # antimode depth in multiples of the least rise count_modes sees
-_PROJECTED_RADIUS = COEFF_RADIUS - 1e-6
 J_STEP = 2  # the J sweep adds one sin/cos pair at a time
 MAXITER = 400  # BFGS iterations per start
 OMEGA = 1e-3  # template floor: the height of the boundary antimodes
@@ -135,7 +134,7 @@ def rescale_to_unit(x: np.ndarray, a: float, b: float) -> np.ndarray:
 class _Objective:
     """The binned likelihood kernel, and its gradient in search coordinates.
 
-    ``forward`` maps a feasible (c, knot heights) to the log-likelihood
+    ``forward`` maps (c, knot heights) to the log-likelihood
     W . log(val) - n log(norm) and the normalized grid density: v = c B,
     the sphere exponential map at angle ||v|| = ||c||, gamma as the
     cumulative trapezoid integral of q^2, the template val on the grid and
@@ -146,9 +145,9 @@ class _Objective:
     this module reports or checks comes from ``forward``, so the reported
     likelihood is the function the search maximized.
 
-    ``value_and_grad`` adds the reverse pass in theta = (c, u).  The
-    coefficient vector c is pulled back onto the feasible ball by radial
-    projection when it leaves it.  The heights follow ``ShapeSpec``'s
+    ``value_and_grad`` adds the reverse pass in theta = (c, u).  Every c
+    gives a warp, so c is unconstrained; ``_fold`` picks one copy of each
+    warp.  The heights follow ``ShapeSpec``'s
     layout: the first mode is 1, the free levels come from u, and the
     other levels (boundary antimodes) sit at ``OMEGA``.  Each free mode is
     exp(span * tanh(u / span)), within 1 / (2 rel_gap) of the first mode
@@ -247,15 +246,8 @@ class _Objective:
             dh_du[k] = heights[i] * (1.0 - sig) * inside[k]
         return np.array(heights), dh_du, links
 
-    def project(self, c: np.ndarray) -> tuple[np.ndarray, float]:
-        """Radial projection of c onto the feasible ball, and the length of c."""
-        c_len = math.sqrt(float(c @ c))
-        if c_len > COEFF_RADIUS:
-            return c * (_PROJECTED_RADIUS / c_len), c_len
-        return c, c_len
-
     def forward(self, c: np.ndarray, kh):
-        """(loglik, normalized grid density) at a feasible (c, knot heights)."""
+        """(loglik, normalized grid density) at (c, knot heights)."""
         ll, tape = self._tape(c, kh)
         return ll, tape[-2] / tape[-1]
 
@@ -294,7 +286,7 @@ class _Objective:
     def value_and_grad(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
         """(-loglik, -d loglik / d theta); (inf, 0) off the feasible set."""
         j, pieces = self.j, self.n_pieces
-        c, c_len = self.project(theta[:j])
+        c = theta[:j]
         heights, dh_du, links = self.heights(theta[j:])
         heights = heights.tolist()
         kh = [heights[i] for i in self.knot_levels]
@@ -337,11 +329,6 @@ class _Objective:
                 + (math.cos(nrm) - sinc) / nrm * float(qq_bar @ v)
             )
             c_grad += c * (nrm_bar / nrm)
-        if c_len > COEFF_RADIUS:
-            unit = theta[:j] / c_len
-            c_grad = (_PROJECTED_RADIUS / c_len) * (
-                c_grad - unit * float(unit @ c_grad)
-            )
         return -ll, np.concatenate((c_grad, u_grad))
 
 
@@ -402,9 +389,22 @@ def log_likelihood(
     cc = np.asarray(c.c, float)
     if cc.ndim != 1:
         raise DomainError(f"need a 1-D coefficient vector, got shape {cc.shape}")
-    if np.linalg.norm(cc) > COEFF_RADIUS + 1e-9:
-        raise ConstraintError("coefficient vector outside the feasible ball")
+    if not np.all(np.isfinite(cc)):
+        raise DomainError("coefficients must be finite")
     return _kernel(z, cc, lam, cfg, weights)[0]
+
+
+def _fold(c: np.ndarray) -> np.ndarray:
+    """The copy of c's warp in the ball ||c|| <= pi/2, where each warp has one.
+
+    gamma depends on q^2 only, and with r = ||c|| both c (r + pi) / r and
+    -c (pi - r) / r negate q; ||v|| = ||c|| as the basis is orthonormal.
+    """
+    r = math.sqrt(float(c @ c))
+    if r <= math.pi / 2.0:
+        return c
+    m = math.fmod(r, math.pi)
+    return c * ((m if m <= math.pi / 2.0 else m - math.pi) / r)
 
 
 def _random_start(obj: _Objective, rng: np.random.Generator) -> np.ndarray:
@@ -437,8 +437,9 @@ def fit_fixed_j(
     (identity warp, midpoint-feasible heights); the rest draw from
     per-restart streams seeded by ``cfg.seed``.  ``count_modes`` checks the
     finite results once each, best objective first (ties to the earliest
-    restart), and the first with the requested modes is returned with its
-    log-likelihood and grid density.
+    restart), and the first with the requested modes is returned with c
+    folded into ||c|| <= pi/2 (``_fold``), and with the log-likelihood and
+    grid density at that c.
     """
     z = np.asarray(z, float)
     obj = _Objective(z, cfg.shape, j, weights)
@@ -458,7 +459,7 @@ def fit_fixed_j(
 
     n_modes = cfg.shape.n_modes
     for _, _, theta in sorted(runs, key=lambda run: run[:2]):
-        c = obj.project(theta[:j])[0]
+        c = _fold(theta[:j])
         heights = obj.heights(theta[j:])[0]
         ll, p = obj.forward(c, heights[obj.knot_levels])
         dens = GridDensity(obj.t.copy(), p)  # obj.t is the cached basis grid

@@ -19,10 +19,6 @@ from .errors import DomainError, InvalidSrsfError, InvalidWarpError
 
 DEFAULT_GRID_SIZE = 1024
 
-#: Feasible radius for tangent vectors: ||sum_j c_j B_j|| = ||c|| <= 2*pi; the
-#: equality holds because ``fourier_basis`` is trapezoid-orthonormal.
-COEFF_RADIUS = 2.0 * np.pi
-
 _THETA_FLOOR = 1e-9
 _STRICT_EPS = 1e-12
 
@@ -54,6 +50,8 @@ class WarpingGrid:
         g = np.asarray(self.gamma, dtype=float)
         if g.shape != np.shape(self.t):
             raise InvalidWarpError("grid/value length mismatch")
+        if not np.all(np.isfinite(g)):
+            raise InvalidWarpError("warp values must be finite")
         if abs(g[0]) > 1e-8 or abs(g[-1] - 1.0) > 1e-8:
             raise InvalidWarpError("warp endpoints must be 0 and 1")
         if np.any(np.diff(g) <= 0):
@@ -76,6 +74,8 @@ class SrsfGrid:
     q: np.ndarray
 
     def __post_init__(self):
+        if not np.all(np.isfinite(self.q)):
+            raise InvalidSrsfError("srsf values must be finite")
         nrm = l2norm(np.asarray(self.q, float), self.t)
         if abs(nrm - 1.0) > 1e-4:
             raise InvalidSrsfError(f"not unit norm: ||q|| = {nrm:.6g}")
@@ -218,14 +218,12 @@ def exp_map(v: TangentVector) -> SrsfGrid:
 
 
 def coeffs_to_warp(c: CoefficientVector, basis: BasisSet) -> WarpingGrid:
-    """Map basis coefficients to a warp (tangent vector -> sphere -> warp)."""
+    """Map finite basis coefficients to a warp (tangent vector -> sphere -> warp)."""
     if c.j != basis.j:
         raise DomainError("coefficient/basis dimension mismatch")
-    v = c.c @ basis.b
-    tv = TangentVector(basis.t, v)
-    if tv.norm > COEFF_RADIUS + 1e-9:
-        raise DomainError(f"||v|| = {tv.norm:.4g} exceeds feasible radius 2*pi")
-    return srsf_inverse(exp_map(tv))
+    if not np.all(np.isfinite(c.c)):
+        raise DomainError("coefficients must be finite")
+    return srsf_inverse(exp_map(TangentVector(basis.t, c.c @ basis.b)))
 
 
 def warp_to_coeffs(w: WarpingGrid, basis: BasisSet) -> CoefficientVector:

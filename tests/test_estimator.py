@@ -32,8 +32,7 @@ from warpdens import (
 )
 from warpdens import estimator
 from warpdens.bench import error_norms, normal_mixture
-from warpdens.estimator import _U_CLIP, _kernel, _Objective, _random_start
-from warpdens.geometry import COEFF_RADIUS
+from warpdens.estimator import _U_CLIP, _fold, _kernel, _Objective, _random_start
 
 
 def binned_loglik(z, log_p):
@@ -43,6 +42,19 @@ def binned_loglik(z, log_p):
     lo = zi.astype(int)
     f = zi - lo
     return float(np.sum((1.0 - f) * log_p[lo] + f * log_p[lo + 1]))
+
+
+def record_searches(monkeypatch):
+    """Record (fun, start index, end point) of every search the fit runs."""
+    real_minimize, runs = estimator.minimize, []
+
+    def recording_minimize(*args, **kwargs):
+        res = real_minimize(*args, **kwargs)
+        runs.append((float(res.fun), len(runs), res.x.copy()))
+        return res
+
+    monkeypatch.setattr(estimator, "minimize", recording_minimize)
+    return runs
 
 
 class TestSupport:
@@ -96,14 +108,20 @@ class TestLogLikelihood:
         got = log_likelihood(z, CoefficientVector(np.zeros(4)), np.empty(0), cfg)
         assert abs(got - expect) < 1e-6
 
-    def test_constraint_violation_raises(self):
-        cfg = FitConfig(shape=ShapeSpec.modes(1))
-        c = np.zeros(2)
-        c[0] = 2.0 * math.pi + 1.0
-        with pytest.raises(ConstraintError):
-            log_likelihood(
-                np.array([0.3, 0.6]), CoefficientVector(c), np.empty(0), cfg
-            )
+    def test_coefficients_beyond_2pi_score_as_their_fold(self):
+        # every finite c gives a warp, and a c beyond 2 pi gives the warp of
+        # its fold into the ball of radius pi/2
+        cfg = FitConfig(shape=ShapeSpec.modes(2))
+        rng = np.random.default_rng(21)
+        z = rng.beta(2.0, 2.0, 200)
+        lam = np.array([0.4, 0.8])
+        direction = rng.standard_normal(4)
+        c = (2.0 * math.pi + 0.5) * direction / np.linalg.norm(direction)
+        folded = _fold(c)
+        assert abs(np.linalg.norm(folded) - 0.5) <= 1e-12
+        ll = log_likelihood(z, CoefficientVector(c), lam, cfg)
+        ll_fold = log_likelihood(z, CoefficientVector(folded), lam, cfg)
+        assert abs(ll - ll_fold) <= 1e-12 * abs(ll)
 
     def test_oracle_beats_identity_on_warped_template(self):
         # data from a warped template: likelihood at the oracle warp should
@@ -141,18 +159,27 @@ class TestLogLikelihood:
         assert abs(got - expect) <= 1e-9 * abs(expect)
 
     @pytest.mark.parametrize(
-        "z, weights, error",
+        "z, weights, c, error",
         [
-            ([-0.5, 0.3, 1.5], None, DomainError),
-            ([np.nan, 0.3, 0.7], None, DegenerateSampleError),
-            ([0.2, 0.3, 0.7], [-1.0, 1.0, 1.0], DomainError),
-            ([[0.2, 0.3], [0.5, 0.7]], None, DegenerateSampleError),
+            ([-0.5, 0.3, 1.5], None, [0.0, 0.0], DomainError),
+            ([np.nan, 0.3, 0.7], None, [0.0, 0.0], DegenerateSampleError),
+            ([0.2, 0.3, 0.7], [-1.0, 1.0, 1.0], [0.0, 0.0], DomainError),
+            ([[0.2, 0.3], [0.5, 0.7]], None, [0.0, 0.0], DegenerateSampleError),
+            ([0.2, 0.3, 0.7], None, [np.nan, 0.0], DomainError),
+            ([0.2, 0.3, 0.7], None, [np.inf, 0.0], DomainError),
         ],
-        ids=["outside-unit-interval", "nan", "negative-weight", "2-d"],
+        ids=[
+            "outside-unit-interval",
+            "nan",
+            "negative-weight",
+            "2-d",
+            "nan-coefficient",
+            "inf-coefficient",
+        ],
     )
-    def test_invalid_input_rejected(self, z, weights, error):
+    def test_invalid_input_rejected(self, z, weights, c, error):
         cfg = FitConfig(shape=ShapeSpec.modes(1))
-        c = CoefficientVector(np.zeros(2))
+        c = CoefficientVector(np.array(c))
         with pytest.raises(error):
             log_likelihood(np.array(z), c, np.empty(0), cfg, weights)
 
@@ -291,7 +318,7 @@ class TestObjective:
         direction = rng.standard_normal(j)
         direction /= np.linalg.norm(direction)
         radius = rng.uniform(1.1, 2.0) if outside else rng.uniform(0.0, 0.9)
-        theta[:j] = radius * COEFF_RADIUS * direction
+        theta[:j] = radius * 2.0 * math.pi * direction
         theta[j:] = rng.uniform(-6.0, 6.0, obj.n_params - j)
 
         f, g = obj.value_and_grad(theta)
@@ -304,8 +331,12 @@ class TestObjective:
         for k in range(theta.size):
             e = np.zeros_like(theta)
             e[k] = step
-            fwd = (obj.value_and_grad(theta + e)[0] - f) / step
-            back = (f - obj.value_and_grad(theta - e)[0]) / step
+            f1, f2 = (obj.value_and_grad(theta + m * e)[0] for m in (1, 2))
+            b1, b2 = (obj.value_and_grad(theta - m * e)[0] for m in (1, 2))
+            # second-order one-sided differences, so that strong curvature
+            # (near ||c|| = pi/2 and its copies) is not taken for a knot
+            fwd = (4.0 * f1 - 3.0 * f - f2) / (2.0 * step)
+            back = (3.0 * f - 4.0 * b1 + b2) / (2.0 * step)
             if abs(fwd - back) <= tol:
                 assert abs(0.5 * (fwd + back) - g[k]) <= tol, k
             else:
@@ -330,7 +361,7 @@ class TestObjective:
 
         def density(theta):
             kh = obj.heights(theta[4:])[0][obj.knot_levels]
-            return obj.forward(obj.project(theta[:4])[0], kh)[1]
+            return obj.forward(theta[:4], kh)[1]
 
         p_a = density(theta_a)
         p_kept = p_a.copy()
@@ -372,7 +403,7 @@ class TestObjective:
         theta = np.empty(obj.n_params)
         direction = rng.standard_normal(j)
         direction /= np.linalg.norm(direction)
-        theta[:j] = rng.uniform(0.0, 0.999) * COEFF_RADIUS * direction
+        theta[:j] = rng.uniform(0.0, 0.999) * 2.0 * math.pi * direction
         theta[j:] = rng.uniform(-6.0, 6.0, obj.n_params - j)
         c = theta[:j]
         heights = obj.heights(theta[j:])[0]
@@ -426,7 +457,7 @@ class TestObjective:
         wt = z.size * w  # the likelihood weights
         direction = rng.standard_normal(j)
         direction /= np.linalg.norm(direction)
-        c = rng.uniform(0.0, 0.999) * COEFF_RADIUS * direction
+        c = rng.uniform(0.0, 0.999) * 2.0 * math.pi * direction
         nrm = float(np.linalg.norm(c))
         q = math.cos(nrm) + math.sin(nrm) / nrm * (c @ fourier_basis(j, 1024).b)
         cum = np.concatenate(([0.0], np.cumsum(q[1:] ** 2 + q[:-1] ** 2)))
@@ -447,6 +478,35 @@ class TestObjective:
         ]:
             binned = -obj.value_and_grad(np.concatenate((c, u)))[0]
             assert abs(exact(u) - binned) / z.size <= bound
+
+
+class TestFold:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        j=st.sampled_from([2, 6, 10]),
+        r=st.floats(0.0, 4.0 * math.pi),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_fold_keeps_the_warp(self, j, r, seed):
+        direction = np.random.default_rng(seed).standard_normal(j)
+        c = r * direction / np.linalg.norm(direction)
+        folded = _fold(c)
+        assert np.linalg.norm(folded) <= math.pi / 2.0 + 1e-12
+        basis = fourier_basis(j, 1024)
+        gamma = coeffs_to_warp(CoefficientVector(c), basis).gamma
+        gamma_fold = coeffs_to_warp(CoefficientVector(folded), basis).gamma
+        assert np.max(np.abs(gamma - gamma_fold)) <= 1e-14
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("j", [2, 6, 10])
+    def test_multiple_of_pi_folds_to_zero(self, j, k):
+        # q = cos(k pi) = +-1 at ||c|| = k pi: the identity warp
+        direction = np.random.default_rng([j, k]).standard_normal(j)
+        c = k * math.pi * direction / np.linalg.norm(direction)
+        assert np.linalg.norm(_fold(c)) <= 1e-14
+        basis = fourier_basis(j, 1024)
+        gamma = coeffs_to_warp(CoefficientVector(c), basis).gamma
+        assert np.max(np.abs(gamma - basis.t)) <= 1e-14
 
 
 class TestFitFixedJ:
@@ -500,20 +560,14 @@ class TestFitFixedJ:
     def test_falls_back_to_next_ranked_restart(self, monkeypatch):
         # the best restart's density is rejected; the second-ranked restart
         # is returned as the search left it, not shrunk towards c = 0
-        real_count, real_minimize = estimator.count_modes, estimator.minimize
-        calls, runs = [], []
+        real_count = estimator.count_modes
+        calls, runs = [], record_searches(monkeypatch)
 
         def reject_first(p):
             calls.append(p)
             return 0 if len(calls) == 1 else real_count(p)
 
-        def recording_minimize(*args, **kwargs):
-            res = real_minimize(*args, **kwargs)
-            runs.append((float(res.fun), len(runs), res.x.copy()))
-            return res
-
         monkeypatch.setattr(estimator, "count_modes", reject_first)
-        monkeypatch.setattr(estimator, "minimize", recording_minimize)
         rng = np.random.default_rng(12)
         z = np.concatenate([rng.beta(3, 9, 150), rng.beta(9, 3, 150)])
         cfg = FitConfig(shape=ShapeSpec.modes(2), restarts=3)
@@ -522,10 +576,26 @@ class TestFitFixedJ:
         assert len(calls) == 2
         ranked = sorted(run for run in runs if math.isfinite(run[0]))
         fun, _, theta = ranked[1]
-        obj = _Objective(z, cfg.shape, 4, None)
-        assert np.array_equal(c.c, obj.project(theta[:4])[0])
+        assert np.array_equal(c.c, _fold(theta[:4]))
         assert ll == -fun
         assert ll == _kernel(z, c.c, lam, cfg, None)[0]
+
+    def test_winner_is_reported_at_its_fold(self, monkeypatch):
+        # the best search ends outside ||c|| <= pi/2: the fit reports the
+        # fold of its c, with the likelihood at the folded c
+        runs = record_searches(monkeypatch)
+        rng = np.random.default_rng(0)
+        x = np.concatenate([rng.normal(-1.0, 0.5, 100), rng.normal(1.5, 0.6, 100)])
+        z = rescale_to_unit(x, *estimate_support(x))
+        cfg = FitConfig(shape=ShapeSpec.modes(2), restarts=4, seed=0)
+        c, lam, ll, _ = fit_fixed_j(z, 6, cfg)
+
+        fun, _, theta = min(run for run in runs if math.isfinite(run[0]))
+        assert np.linalg.norm(theta[:6]) > math.pi / 2.0
+        assert np.array_equal(c.c, _fold(theta[:6]))
+        assert np.linalg.norm(c.c) <= math.pi / 2.0
+        assert ll == log_likelihood(z, c, lam, cfg)
+        assert abs(ll + fun) <= 1e-12 * abs(fun)
 
     def test_self_consistency_on_template_data(self):
         # sample from the M=1 template itself; J=2 fit recovers it closely
@@ -560,8 +630,11 @@ class TestFit:
     def test_constraint_feasibility(self):
         rng = np.random.default_rng(6)
         x = rng.normal(0, 1, 300)
-        est = fit(x, FitConfig(shape=ShapeSpec.modes(1), restarts=4, seed=0))
-        assert np.linalg.norm(est.c_hat.c) <= 2.0 * math.pi + 1e-9
+        cfg = FitConfig(shape=ShapeSpec.modes(1), restarts=4, seed=0)
+        est = fit(x, cfg)
+        assert np.linalg.norm(est.c_hat.c) <= math.pi / 2.0 + 1e-12
+        z = rescale_to_unit(x, *est.support)
+        assert log_likelihood(z, est.c_hat, est.lambda_hat, cfg) == est.loglik
 
     def test_density_normalized_in_data_units(self):
         rng = np.random.default_rng(7)

@@ -27,6 +27,7 @@ from warpdens import (
     unit_grid,
     warp_to_coeffs,
 )
+from warpdens.estimator import _fold
 from warpdens.geometry import _cumint, _deriv4
 
 N = 4096
@@ -53,6 +54,20 @@ class TestWarpingGrid:
     def test_bad_endpoint_rejected(self):
         with pytest.raises(InvalidWarpError):
             WarpingGrid(T, 0.5 * T)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, bad):
+        g = T.copy()
+        g[5] = bad
+        with pytest.raises(InvalidWarpError, match="finite"):
+            WarpingGrid(T, g)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_srsf_rejected(self, bad):
+        q = np.ones(N)
+        q[5] = bad
+        with pytest.raises(InvalidSrsfError, match="finite"):
+            SrsfGrid(T, q)
 
 
 class TestSrsf:
@@ -234,11 +249,19 @@ class TestCoeffsToWarp:
         assert w.gamma[0] == 0.0 and w.gamma[-1] == 1.0
         assert np.all(np.diff(w.gamma) > 0)
 
-    def test_norm_outside_ball_rejected(self):
+    def test_norm_beyond_2pi_gives_the_warp_of_its_fold(self):
+        # gamma depends on q^2 only: ||c|| = 2 pi + 0.5 is the warp at 0.5
         c = np.zeros(2)
         c[0] = 2.0 * math.pi + 0.5
-        with pytest.raises(DomainError):
-            coeffs_to_warp(CoefficientVector(c), fourier_basis(2, N))
+        basis = fourier_basis(2, N)
+        w = coeffs_to_warp(CoefficientVector(c), basis)
+        w_fold = coeffs_to_warp(CoefficientVector(_fold(c)), basis)
+        assert np.max(np.abs(w.gamma - w_fold.gamma)) <= 1e-14
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(DomainError, match="finite"):
+            coeffs_to_warp(CoefficientVector([bad, 0.0]), fourier_basis(2, N))
 
 
 class TestWarpToCoeffs:
