@@ -31,6 +31,7 @@ from .geometry import (
     coeffs_to_warp,  # noqa: F401  unused; the traced benchmark wraps this name
     fourier_basis,
     min_grid_size,
+    warp_integral,
 )
 from .bfgs import minimize
 from .templates import (
@@ -137,13 +138,14 @@ class _Objective:
     ``forward`` maps (c, knot heights) to the log-likelihood
     W . log(val) - n log(norm) and the normalized grid density: v = c B,
     the sphere exponential map at angle ||v|| = ||c||, gamma as the
-    cumulative trapezoid integral of q^2, the template val on the grid and
-    its trapezoid integral norm.  W holds the sample weights, linearly
-    binned onto the grid once (Fan & Marron, 1994), so log p is interpolated
-    linearly between grid points and a sample in a trough narrower than a
-    grid step scores above its exact value.  Every likelihood and density
-    this module reports or checks comes from ``forward``, so the reported
-    likelihood is the function the search maximized.
+    cumulative trapezoid integral of q^2 (``warp_integral``), the template
+    val on the grid and its trapezoid integral norm.  W holds the sample
+    weights, linearly binned onto the grid once (Fan & Marron, 1994), so
+    log p is interpolated linearly between grid points and a sample in a
+    trough narrower than a grid step scores above its exact value.  Every
+    likelihood and density this module reports or checks comes from
+    ``forward``, so the reported likelihood is the function the search
+    maximized.
 
     ``value_and_grad`` adds the reverse pass in theta = (c, u).  Every c
     gives a warp, so c is unconstrained; ``_fold`` picks one copy of each
@@ -260,13 +262,8 @@ class _Objective:
         sinc = math.sin(nrm) / nrm if curved else 1.0
         q = sinc * v
         q += math.cos(nrm) if curved else 1.0
-        qsq = q * q
-        # gamma = cum / cum[-1], so the trapezoid's h / 2 cancels
         gamma = self.gamma
-        np.add(qsq[1:], qsq[:-1], out=gamma[1:])
-        np.add.accumulate(gamma[1:], out=gamma[1:])
-        total = float(gamma[-1])
-        gamma /= total
+        total = warp_integral(q * q, gamma)
 
         # piecewise-linear template on the grid, positive with the knot
         # heights: kh[k] + frac * slope[k] on piece k, with frac =

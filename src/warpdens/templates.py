@@ -141,8 +141,8 @@ def level_heights(shape: ShapeSpec, lam: np.ndarray, omega: float) -> np.ndarray
         raise ConstraintError(
             f"height-ratio vector has length {lam.size}, expected {len(free)}"
         )
-    if np.any(lam <= 0):
-        raise ConstraintError("height ratios must be strictly positive")
+    if not np.all(np.isfinite(lam) & (lam > 0)):
+        raise ConstraintError("height ratios must be finite and strictly positive")
     heights = np.full(len(shape.levels()), float(omega))
     heights[shape.first_mode()] = 1.0
     heights[free] = lam
@@ -191,10 +191,10 @@ class GridDensity:
 
     def __post_init__(self):
         p = np.asarray(self.p, float)
-        if np.any(p < -1e-12):
-            raise ShapeError("density values must be nonnegative")
+        if not np.all(np.isfinite(p) & (p >= -1e-12)):
+            raise ShapeError("density values must be finite and nonnegative")
         total = np.trapezoid(p, self.t)
-        if abs(total - 1.0) > 1e-6:
+        if not abs(total - 1.0) <= 1e-6:
             raise ShapeError(f"density integrates to {total:.6g}, not 1")
 
     @classmethod

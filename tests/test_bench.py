@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import inspect
 import json
 import math
 import os
@@ -20,7 +21,9 @@ from warpdens import (
     DomainError,
     OptimizationError,
     bench,
+    conditional,
     error_norms,
+    estimator,
     run_benchmark,
 )
 from warpdens.bench import (
@@ -109,6 +112,23 @@ def test_import_and_fit_load_no_scipy():
         check=True,
     ).stdout.split()
     assert out == []
+
+
+def test_names_the_benchmark_tracer_patches_exist():
+    """perfbench/spans.py wraps these module attributes by name, and
+    perfbench/run.py passes ``workers=`` to ``run_benchmark``; a rename
+    would break only the benchmark.  ROADMAP item 3 deletes this test, once
+    the tracer reads the estimate's diagnostics instead of patching names."""
+    patched = {
+        estimator: ("fit_fixed_j", "minimize", "count_modes", "build_template",
+                    "coeffs_to_warp", "fit"),
+        conditional: ("adaptive_bandwidth", "compute_weights", "estimator"),
+        bench: ("_run_replicate", "error_norms", "fit_conditional"),
+    }
+    for module, names in patched.items():
+        for name in names:
+            assert hasattr(module, name), f"{module.__name__}.{name}"
+    assert "workers" in inspect.signature(run_benchmark).parameters
 
 
 class TestErrorNorms:

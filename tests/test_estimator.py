@@ -16,6 +16,7 @@ from warpdens import (
     FitConfig,
     GridDensity,
     OptimizationError,
+    ShapeError,
     ShapeSpec,
     build_template,
     coeffs_to_warp,
@@ -182,6 +183,13 @@ class TestLogLikelihood:
         c = CoefficientVector(np.array(c))
         with pytest.raises(error):
             log_likelihood(np.array(z), c, np.empty(0), cfg, weights)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_height_ratio_rejected(self, bad):
+        cfg = FitConfig(shape=ShapeSpec.modes(2))
+        c = CoefficientVector(np.zeros(2))
+        with pytest.raises(ConstraintError, match="finite"):
+            log_likelihood(np.array([0.2, 0.5]), c, np.array([0.5, bad]), cfg)
 
     def test_non_vector_coefficients_rejected(self):
         cfg = FitConfig(shape=ShapeSpec.modes(1))
@@ -417,12 +425,9 @@ class TestObjective:
 
         p = obj.forward(c, heights[obj.knot_levels])[1]
         assert abs(np.trapezoid(p, obj.t) - 1.0) <= 1e-6
-        # the kernel integrates gamma by the plain trapezoid rule and
-        # coeffs_to_warp adds the Euler-Maclaurin h^2 correction, so the two
-        # densities differ by an O(h^2) quadrature term (worst seen 1.2e-4)
         warp = coeffs_to_warp(CoefficientVector(c), fourier_basis(j, 1024))
         ref = group_action(build_template(shape, lam, 1e-3, 1024), warp).p
-        assert np.max(np.abs(p - ref)) <= 1e-3 * np.max(ref)
+        assert np.max(np.abs(p - ref)) <= 1e-10 * np.max(ref)
 
     def test_kernel_holds_no_per_sample_array(self):
         # the samples are binned once, so the kernel's arrays, and the cost
@@ -621,6 +626,19 @@ class TestFitFixedJ:
 
 
 class TestFit:
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_public_geometry_rebuilds_the_estimate(self, m):
+        # coeffs_to_warp integrates q^2 by the kernel's rule, so the warp
+        # and template of (c_hat, lambda_hat) give back est.p up to rounding
+        rng = np.random.default_rng(m)
+        x = np.concatenate([rng.normal(2.5 * k, 0.6, 150) for k in range(m)])
+        shape = ShapeSpec.modes(m)
+        est = fit(x, FitConfig(shape=shape, restarts=4, j_max=6))
+        warp = coeffs_to_warp(est.c_hat, fourier_basis(est.j, 1024))
+        tmpl = build_template(shape, est.lambda_hat, estimator.OMEGA, 1024)
+        ref = group_action(tmpl, warp).p
+        assert np.max(np.abs(est.p - ref)) <= 1e-10 * np.max(est.p)
+
     def test_mode_count_enforced_on_uniform_data(self):
         # uniform data, M=1 constraint: estimate must still be unimodal
         z = np.linspace(0.01, 0.99, 200)
@@ -754,5 +772,13 @@ class TestFit:
 
 def test_grid_density_validation():
     t = unit_grid(101)
-    with pytest.raises(Exception):
-        GridDensity(t, np.full(101, 2.0))  # integrates to 2
+    one_nan = np.ones(101)
+    one_nan[50] = np.nan
+    for p in (
+        np.full(101, 2.0),  # integrates to 2
+        np.full(101, np.nan),
+        one_nan,
+        np.full(101, np.inf),
+    ):
+        with pytest.raises(ShapeError):
+            GridDensity(t, p)

@@ -28,7 +28,6 @@ from warpdens import (
     warp_to_coeffs,
 )
 from warpdens.estimator import _fold
-from warpdens.geometry import _cumint, _deriv4
 
 N = 4096
 T = unit_grid(N)
@@ -110,6 +109,11 @@ class TestSrsfInverse:
         q = q / np.sqrt(np.trapezoid(q**2, T))
         g = srsf_inverse(SrsfGrid(T, q))
         assert np.max(np.abs(g.gamma - T**2)) < 1e-6
+
+    def test_non_uniform_grid_rejected(self):
+        # the trapezoid rule of warp_integral weights every step equally
+        with pytest.raises(InvalidSrsfError, match="uniform"):
+            srsf_inverse(SrsfGrid(T**2, np.ones(N)))
 
     def test_endpoints_pinned(self):
         rng = np.random.default_rng(4)
@@ -290,10 +294,11 @@ def test_compose_identity():
 
 
 @pytest.mark.parametrize("n", [5, 1024, 4097])
-def test_cumint_matches_scipy_cumulative_trapezoid(n):
+def test_srsf_inverse_matches_scipy_cumulative_trapezoid(n):
     t = unit_grid(n)
-    f = np.random.default_rng(n).uniform(0.1, 3.0, n)
-    h = t[1] - t[0]
-    fp = _deriv4(f, h)
-    want = cumulative_trapezoid(f, t, initial=0.0) - (h * h / 12.0) * (fp - fp[0])
-    assert np.array_equal(_cumint(f, t), want)
+    q = np.sqrt(np.random.default_rng(n).uniform(0.1, 3.0, n))
+    q /= np.sqrt(np.trapezoid(q * q, t))
+    want = cumulative_trapezoid(q * q, t, initial=0.0)
+    want /= want[-1]
+    got = srsf_inverse(SrsfGrid(t, q)).gamma
+    assert np.max(np.abs(got - want)) <= 1e-12

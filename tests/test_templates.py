@@ -84,6 +84,9 @@ class TestBuildTemplate:
         # antimode above the neighboring peaks
         with pytest.raises(ConstraintError):
             build_template(ShapeSpec.modes(2), np.array([1.5, 0.8]), omega=1e-3, n=N)
+        for lam in ([0.5, np.inf], [0.5, np.nan], [np.nan, 0.8]):
+            with pytest.raises(ConstraintError, match="finite"):
+                build_template(ShapeSpec.modes(2), np.array(lam), omega=1e-3, n=N)
 
     def test_template_density_normalizes(self):
         p = template_density(
