@@ -162,9 +162,6 @@ class _Objective:
     One evaluation is a few dozen numpy calls on grid-sized arrays, bound
     by the cost of each call: the height map, the monotone-knot check and
     the chain from per-piece sums to the knot heights run on Python floats.
-    The buffers ``gamma`` and ``seg`` live across calls, and the tape holds
-    a view of ``gamma``; the returned density and gradient are fresh arrays,
-    because the search keeps the previous gradient.
     """
 
     def __init__(
@@ -220,9 +217,6 @@ class _Objective:
         self.grid_wt += np.bincount(lo + 1, wt * frac, n_grid)
         self.wt_sum = float(wt.sum())
 
-        self.gamma = np.zeros(n_grid)  # gamma[0] stays 0
-        self.seg = np.zeros(n_grid + 1)  # seg[0] and seg[-1] stay 0
-
     def heights(self, u: np.ndarray):
         """Level heights (an ndarray) from the height parameters u.
 
@@ -262,8 +256,7 @@ class _Objective:
         sinc = math.sin(nrm) / nrm if curved else 1.0
         q = sinc * v
         q += math.cos(nrm) if curved else 1.0
-        gamma = self.gamma
-        total = warp_integral(q * q, gamma)
+        gamma, total = warp_integral(q * q)
 
         # piecewise-linear template on the grid, positive with the knot
         # heights: kh[k] + frac * slope[k] on piece k, with frac =
@@ -314,7 +307,7 @@ class _Objective:
         gamma_bar = wbar * sk
         # d/dqsq[i] = sum of cum_bar over the cumulative sums that hold
         # segment i-1 or segment i; cum[-1] also divides every gamma
-        seg = self.seg
+        seg = np.zeros(gamma.size + 1)
         np.add.accumulate(gamma_bar[:0:-1], out=seg[-2:0:-1])
         seg[1:-1] -= float(gamma_bar @ gamma)
         qq_bar = q * (seg[1:] + seg[:-1])
@@ -343,7 +336,7 @@ def _kernel(
     kh = build_template(cfg.shape, lam, omega=OMEGA, n=DEFAULT_GRID_SIZE).knot_heights
     obj = _Objective(z, cfg.shape, c.size, weights)
     ll, p = obj.forward(c, kh)
-    return ll, GridDensity(obj.t.copy(), p)  # obj.t is the cached basis grid
+    return ll, GridDensity(obj.t, p)
 
 
 def _check_sample(x: np.ndarray, weights: np.ndarray | None) -> np.ndarray | None:
@@ -459,7 +452,7 @@ def fit_fixed_j(
         c = _fold(theta[:j])
         heights = obj.heights(theta[j:])[0]
         ll, p = obj.forward(c, heights[obj.knot_levels])
-        dens = GridDensity(obj.t.copy(), p)  # obj.t is the cached basis grid
+        dens = GridDensity(obj.t, p)
         if count_modes(dens) == n_modes:
             return CoefficientVector(c), heights[obj.free], ll, dens
     raise OptimizationError(f"J={j}: no restart's grid density has {n_modes} modes")

@@ -13,7 +13,6 @@ so ``coeffs_to_warp`` returns the warp that a fit evaluated.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -127,12 +126,12 @@ def min_grid_size(j: int) -> int:
     return 2 * ((j + 1) // 2) + 2
 
 
-@lru_cache(maxsize=64)
 def fourier_basis(j: int, n: int = DEFAULT_GRID_SIZE) -> BasisSet:
     """First j elements of the orthonormal Fourier family without the constant.
 
     Ordered sin/cos interleaved: sqrt(2)sin(2 pi t), sqrt(2)cos(2 pi t),
     sqrt(2)sin(4 pi t), ...  Fewer than ``min_grid_size(j)`` points alias them.
+    Each call builds fresh arrays, so a caller may write to the ones it gets.
     """
     if j < 1:
         raise DomainError(f"basis dimension must be >= 1, got {j}")
@@ -160,14 +159,15 @@ def _deriv4(f: np.ndarray, h: float) -> np.ndarray:
     return d
 
 
-def warp_integral(qsq: np.ndarray, gamma: np.ndarray) -> float:
-    """Write the cumulative trapezoid of q^2 over its total into ``gamma``,
-    whose first entry must be 0; return the total, in units of h / 2."""
+def warp_integral(qsq: np.ndarray) -> tuple[np.ndarray, float]:
+    """(gamma, total): the cumulative trapezoid of q^2 over its total, in a
+    fresh array that starts at 0, and the total, in units of h / 2."""
+    gamma = np.zeros(qsq.size)
     np.add(qsq[1:], qsq[:-1], out=gamma[1:])
     np.add.accumulate(gamma[1:], out=gamma[1:])
     total = float(gamma[-1])
     gamma /= total
-    return total
+    return gamma, total
 
 
 def srsf(w: WarpingGrid) -> SrsfGrid:
@@ -189,8 +189,7 @@ def srsf_inverse(q: SrsfGrid) -> WarpingGrid:
     if not np.allclose(np.diff(q.t), q.t[1] - q.t[0], rtol=1e-6, atol=0.0):
         raise InvalidSrsfError("srsf_inverse needs a uniform grid")
     qq = np.asarray(q.q, float)
-    gamma = np.zeros(qq.size)
-    warp_integral(qq * qq, gamma)
+    gamma = warp_integral(qq * qq)[0]
     # guard flat numerical segments so the result is strictly increasing
     gamma = (gamma + _STRICT_EPS * q.t) / (1.0 + _STRICT_EPS)
     return WarpingGrid(q.t, gamma)
@@ -238,7 +237,5 @@ def warp_to_coeffs(w: WarpingGrid, basis: BasisSet) -> CoefficientVector:
 def compose(outer: WarpingGrid, inner_warp: WarpingGrid) -> WarpingGrid:
     """Composition outer(inner(t)) by monotone linear interpolation."""
     gamma = np.interp(inner_warp.gamma, outer.t, outer.gamma)
-    gamma = np.maximum.accumulate(gamma)
     gamma = (gamma + _STRICT_EPS * outer.t) / (1.0 + _STRICT_EPS)
-    gamma[0], gamma[-1] = 0.0, 1.0
     return WarpingGrid(outer.t, gamma)

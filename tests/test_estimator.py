@@ -353,8 +353,8 @@ class TestObjective:
                 assert min(abs(fwd - g[k]), abs(back - g[k])) <= tol, k
 
     def test_results_survive_later_calls(self):
-        # the kernel reuses its work buffers from call to call; the search
-        # keeps the previous gradient, and callers keep the density
+        # the search keeps the previous gradient, and callers keep the
+        # density, so a later evaluation must not change either
         z = np.random.default_rng(13).beta(2.0, 2.0, 300)
         obj = _Objective(z, ShapeSpec.modes(2), 4, None)
         theta_a, theta_b = (
@@ -638,6 +638,22 @@ class TestFit:
         tmpl = build_template(shape, est.lambda_hat, estimator.OMEGA, 1024)
         ref = group_action(tmpl, warp).p
         assert np.max(np.abs(est.p - ref)) <= 1e-10 * np.max(est.p)
+
+    def test_writes_to_returned_arrays_leave_later_fits_alone(self):
+        # a fit depends on its data and settings alone: arrays a caller got
+        # from fourier_basis or coeffs_to_warp are the caller's to change
+        rng = np.random.default_rng(21)
+        x = np.concatenate([rng.normal(-1.0, 0.5, 100), rng.normal(1.5, 0.6, 100)])
+        cfg = FitConfig(shape=ShapeSpec.modes(2), j_max=4, restarts=2)
+        first = fit(x, cfg)
+        fourier_basis(4, 1024).b[:] = 0.0
+        warp = coeffs_to_warp(CoefficientVector(np.zeros(4)), fourier_basis(4, 1024))
+        warp.t[:] = np.linspace(0.0, 2.0, 1024)
+        again = fit(x, cfg)
+        assert np.array_equal(again.p, first.p)
+        assert np.array_equal(again.t, first.t)
+        assert np.array_equal(again.c_hat.c, first.c_hat.c)
+        assert again.loglik == first.loglik and again.j == first.j
 
     def test_mode_count_enforced_on_uniform_data(self):
         # uniform data, M=1 constraint: estimate must still be unimodal
