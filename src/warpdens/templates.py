@@ -210,72 +210,40 @@ def template_density(tmpl: TemplateFunction) -> GridDensity:
 
 def group_action(p: GridDensity | TemplateFunction, w: WarpingGrid) -> GridDensity:
     """The normalizing action (p, gamma) = p o gamma / integral(p o gamma)."""
-    if isinstance(p, TemplateFunction):
-        values = np.interp(w.gamma, p.knots, p.knot_heights)
-        t = p.t
-    else:
-        values = np.interp(w.gamma, p.t, p.p)
-        t = p.t
-    return GridDensity.from_values(t, values)
+    xp, fp = (p.knots, p.knot_heights) if isinstance(p, TemplateFunction) else (p.t, p.p)
+    return GridDensity.from_values(p.t, np.interp(w.gamma, xp, fp))
 
 
-def _critical_runs(p: np.ndarray):
-    """Plateau-merged runs of strict slope sign: list of (sign, start, end).
+def _steep_steps(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Indices of the steps of vals that are not flat, and whether each rises.
 
-    Differences below MODE_TOL * max|p| count as flat and merge into the
-    neighboring runs.
+    A step no larger than MODE_TOL * max|vals| in size is flat.
     """
-    tol = MODE_TOL * float(np.max(np.abs(p)))
-    d = np.diff(p)
-    sign = np.where(d > tol, 1, np.where(d < -tol, -1, 0))
-    runs = []
-    for i, s in enumerate(sign):
-        if s == 0:
-            continue
-        if runs and runs[-1][0] == s:
-            runs[-1][2] = i + 1
-        else:
-            runs.append([s, i, i + 1])
-    return runs
+    d = np.diff(vals)
+    steep = np.flatnonzero(np.abs(d) > MODE_TOL * float(np.max(np.abs(vals))))
+    return steep, d[steep] > 0
 
 
 def critical_points(p: GridDensity):
-    """Interior and boundary extrema after plateau merging.
+    """Interior extrema: one (index, kind) per turn of the slope sign.
 
-    Returns a list of (index, kind) with kind in {"max", "min"}; a flat
-    plateau contributes a single extremum at its best grid point.
+    kind is "max" where a rise turns into a fall and "min" where a fall
+    turns into a rise; the plateau of flat steps between the two gives one
+    extremum at its best grid point, so every index lies in [1, n - 2].
+    Extrema at the ends of the grid are not located.
     """
     vals = np.asarray(p.p, float)
-    runs = _critical_runs(vals)
+    steep, up = _steep_steps(vals)
     out = []
-    if not runs:
-        return out
-    # boundary extremum when the density starts by falling / ends by rising
-    if runs[0][0] == -1:
-        out.append((int(np.argmax(vals[: runs[0][1] + 1])), "max"))
-    elif runs[0][1] > 0:
-        out.append((int(np.argmin(vals[: runs[0][1] + 1])), "min"))
-    for (s1, _, e1), (s2, b2, _) in zip(runs, runs[1:]):
-        segment = vals[e1 : b2 + 1]
-        if s1 == 1 and s2 == -1:
-            out.append((e1 + int(np.argmax(segment)), "max"))
-        elif s1 == -1 and s2 == 1:
-            out.append((e1 + int(np.argmin(segment)), "min"))
-    n = vals.size
-    if runs[-1][0] == 1:
-        tail = vals[runs[-1][2] :]
-        base = runs[-1][2]
-        out.append((base + int(np.argmax(tail)) if tail.size else n - 1, "max"))
-    elif runs[-1][2] < n - 1:
-        tail = vals[runs[-1][2] :]
-        out.append((runs[-1][2] + int(np.argmin(tail)), "min"))
+    for k in np.flatnonzero(up[:-1] != up[1:]):
+        lo, hi = steep[k] + 1, steep[k + 1] + 1
+        pick, kind = (np.argmax, "max") if up[k] else (np.argmin, "min")
+        out.append((int(lo + pick(vals[lo:hi])), kind))
     return out
 
 
 def _refined_height(vals: np.ndarray, i: int) -> float:
-    """Quadratic-vertex estimate of an extremum's height at grid index i."""
-    if not 0 < i < vals.size - 1:
-        return float(vals[i])
+    """Quadratic-vertex estimate of an interior extremum's height at index i."""
     a, b, c = vals[i - 1], vals[i], vals[i + 1]
     curv = a - 2.0 * b + c
     if curv == 0.0:
@@ -287,8 +255,14 @@ def _refined_height(vals: np.ndarray, i: int) -> float:
 
 
 def count_modes(p: GridDensity) -> int:
-    """Number of local maxima, counting each plateau once."""
-    return sum(1 for _, kind in critical_points(p) if kind == "max")
+    """Number of local maxima, counting each plateau once: the rise-to-fall
+    turns of the slope sign, plus one if the first steep step falls and one
+    if the last one rises (modes at the ends).  No steep step, no mode.
+    """
+    _, up = _steep_steps(np.asarray(p.p, float))
+    if up.size == 0:
+        return 0
+    return int(np.count_nonzero(up[:-1] & ~up[1:])) + int(not up[0]) + int(up[-1])
 
 
 def height_ratios_of(p: GridDensity, refine: bool = False) -> np.ndarray:
@@ -299,8 +273,7 @@ def height_ratios_of(p: GridDensity, refine: bool = False) -> np.ndarray:
     from a quadratic vertex fit, which is far more accurate for smooth
     densities whose extrema fall between grid points.
     """
-    n = p.p.size
-    interior = [(i, kind) for i, kind in critical_points(p) if 0 < i < n - 1]
+    interior = critical_points(p)
     first_max = next((k for k, (_, kind) in enumerate(interior) if kind == "max"), None)
     if first_max is None:
         raise ShapeError("density has no interior mode")
@@ -336,7 +309,7 @@ def oracle_reconstruct_warp(
         )
     vals = np.asarray(p0.p, float)
     n = vals.size
-    interior = [(i, k) for i, k in critical_points(p0) if 0 < i < n - 1]
+    interior = critical_points(p0)
     expected = [lv.role for lv in levels][1:-1]
     got = ["high" if k == "max" else "low" for _, k in interior]
     if got != expected:
@@ -344,11 +317,9 @@ def oracle_reconstruct_warp(
             f"critical structure mismatch: found {got}, shape needs {expected}"
         )
     idx = [0] + [i for i, _ in interior] + [n - 1]
-    first_max = next(k for k, (_, kind) in enumerate(interior) if kind == "max")
-    h1 = vals[interior[first_max][0]]
-    lam = np.array(
-        [vals[i] / h1 for k, (i, _) in enumerate(interior) if k != first_max]
-    )
+    # the shape rises from its left end, so the first turn is the first mode
+    h1 = vals[interior[0][0]]
+    lam = height_ratios_of(p0)
 
     tmpl = build_template(shape, lam, omega=0.0, n=n)
     knots, kh = tmpl.knots, tmpl.knot_heights

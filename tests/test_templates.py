@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from warpdens import (
@@ -20,6 +22,7 @@ from warpdens import (
     template_density,
     unit_grid,
 )
+from warpdens.templates import MODE_TOL, critical_points
 
 N = 4097  # 2M*k+1 keeps the template knots on grid points for M in {1, 2}
 
@@ -27,6 +30,39 @@ N = 4097  # 2M*k+1 keeps the template knots on grid points for M in {1, 2}
 def bimodal_beta_mix(t):
     """Smooth Figure-2-style bimodal density on [0, 1]."""
     return 0.6 * stats.beta.pdf(t, 5, 12) + 0.4 * stats.beta.pdf(t, 12, 5)
+
+
+def density(vals):
+    vals = np.asarray(vals, float)
+    return GridDensity.from_values(unit_grid(vals.size), vals)
+
+
+def reference_scan(vals):
+    """Interior extrema and mode count from one plain-Python walk of the grid.
+
+    Steps no larger than MODE_TOL * max|vals| are flat; each turn of the
+    sign of the other steps is an extremum at the best point of the
+    plateau between them, and a first step that falls or a last one that
+    rises is a mode at that end.
+    """
+    vals = [float(v) for v in vals]
+    tol = MODE_TOL * max(abs(v) for v in vals)
+    points, rising, start, ends = [], None, 0, 0
+    for i in range(len(vals) - 1):
+        d = vals[i + 1] - vals[i]
+        if abs(d) <= tol:
+            continue
+        if rising is None:
+            ends += d < 0
+        elif rising != (d > 0):
+            plateau = range(start, i + 1)
+            if rising:
+                points.append((max(plateau, key=vals.__getitem__), "max"))
+            else:
+                points.append((min(plateau, key=vals.__getitem__), "min"))
+        rising, start = d > 0, i + 1
+    ends += rising is True
+    return points, ends + sum(kind == "max" for _, kind in points)
 
 
 class TestShapeSpec:
@@ -117,6 +153,65 @@ class TestCountModes:
         p = GridDensity.from_values(t, bimodal_beta_mix(t))
         assert count_modes(p) == 2
 
+    @pytest.mark.parametrize(
+        "pieces, modes, points",
+        [
+            (("dec", "inc", "dec"), 2, ["min", "max"]),
+            (("inc", "dec", "inc"), 2, ["max", "min"]),
+            (("dec",), 1, []),
+        ],
+        ids=["dec,inc,dec", "inc,dec,inc", "dec"],
+    )
+    def test_boundary_modes_count_but_are_not_located(self, pieces, modes, points):
+        # a density that falls from its left end or rises to its right end
+        # has a mode there; critical_points lists interior turns only
+        shape = ShapeSpec(pieces)
+        lam = [0.3, 0.8][: shape.n_lambda()]
+        p = template_density(build_template(shape, lam, omega=0.01, n=257))
+        assert count_modes(p) == modes
+        cps = critical_points(p)
+        assert [kind for _, kind in cps] == points
+        assert all(0 < i < 256 for i, _ in cps)
+
+    def test_all_flat_has_no_mode(self):
+        p = density(np.ones(64))
+        assert count_modes(p) == 0
+        assert critical_points(p) == []
+
+    @pytest.mark.parametrize("margin, modes", [(-1e-10, 1), (1e-10, 17)])
+    def test_plateau_wiggles_below_tolerance_are_flat(self, margin, modes):
+        # a rise, a plateau whose steps alternate +-w, a fall; w is 1e-10
+        # below or above the tolerance relative to the top of the plateau
+        w = MODE_TOL + margin
+        top = 1.0 + w
+        rise, fall = np.linspace(0.0, 1.0, 20), np.linspace(1.0, 0.0, 20)
+        vals = np.concatenate([rise, np.tile([1.0, top], 17), fall])
+        p = density(vals)
+        assert count_modes(p) == modes
+        if margin < 0:
+            cps = critical_points(p)
+            assert len(cps) == 1 and cps[0][1] == "max"
+            assert p.p[cps[0][0]] == np.max(p.p)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        steps=st.lists(
+            st.sampled_from([-1.0, -0.25, -1e-9, 0.0, 0.0, 1e-9, 0.25, 1.0]),
+            min_size=1,
+            max_size=40,
+        ),
+        floor=st.sampled_from([0.0, 0.5]),
+    )
+    def test_matches_plain_python_scan(self, steps, floor):
+        vals = np.concatenate([[0.0], np.cumsum(steps)])
+        vals = vals - vals.min() + floor
+        if not vals.any():
+            vals += 1.0
+        p = density(vals)
+        points, modes = reference_scan(p.p)
+        assert critical_points(p) == points
+        assert count_modes(p) == modes
+
 
 class TestHeightRatios:
     def test_template_round_trip(self):
@@ -204,6 +299,20 @@ class TestOracle:
         warp, lam = oracle_reconstruct_warp(p, shape)
         recon = group_action(build_template(shape, lam, omega=0.0, n=N), warp)
         assert np.max(np.abs(recon.p - p.p)) <= 1e-3
+
+    @pytest.mark.parametrize("mirror", [False, True], ids=["zero-tail", "zero-head"])
+    def test_triangle_with_flat_zero_end(self, mirror):
+        # a triangle on [0, 0.8] with zeros on (0.8, 1]: the flat end is no
+        # antimode, so the density is plain unimodal
+        t = unit_grid(1025)
+        vals = np.interp(t, [0.0, 0.4, 0.8, 1.0], [0.0, 1.0, 0.0, 0.0])
+        p = density(vals[::-1] if mirror else vals)
+        shape = ShapeSpec.modes(1)
+        assert count_modes(p) == 1
+        assert height_ratios_of(p).size == 0
+        warp, lam = oracle_reconstruct_warp(p, shape)
+        recon = group_action(build_template(shape, lam, omega=0.0, n=t.size), warp)
+        assert np.max(np.abs(recon.p - p.p)) <= 1e-9
 
     def test_mode_mismatch_rejected(self):
         t = unit_grid(N)
