@@ -67,6 +67,8 @@ class FitConfig:
         for name in ("j_max", "restarts", "seed"):
             if not isinstance(getattr(self, name), numbers.Integral):
                 raise ConstraintError(f"{name} must be an integer")
+        if not isinstance(self.shape, ShapeSpec):
+            raise ConstraintError(f"shape must be a ShapeSpec, got {self.shape!r}")
         if self.j_max < J_STEP or min_grid_size(self.j_max) > DEFAULT_GRID_SIZE:
             raise ConstraintError(f"need {J_STEP} <= j_max <= {DEFAULT_GRID_SIZE - 2}")
         if self.restarts < 1:
@@ -179,15 +181,15 @@ class _Objective:
         self.trap[[0, -1]] *= 0.5
         self.n_pieces = shape.n_pieces
         self.rel_gap = _VISIBLE * MODE_TOL * (n_grid - 1) / shape.n_pieces
-        levels = shape.levels()
-        self.knot_levels = shape.knot_levels()
+        levels = shape.levels
+        self.knot_levels = shape.knot_levels
         self.monotone = [  # (piece, +1 rising or -1 falling) for non-flat pieces
             (k, 1 if p == "inc" else -1)
             for k, p in enumerate(shape.pieces)
             if p != "flat"
         ]
 
-        self.free = shape.free_levels()  # the level of each height parameter
+        self.free = shape.free_levels  # the level of each height parameter
         # free levels start at OMEGA, below the first mode, so ``heights``
         # finds the tallest mode before it sets the antimodes
         self.base_heights = level_heights(

@@ -12,7 +12,8 @@ which is what makes the shape constraint exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, field
 from typing import Literal, Sequence
 
 import numpy as np
@@ -28,6 +29,13 @@ MODE_TOL = 1e-6
 
 
 @dataclass(frozen=True)
+class _Level:
+    knots: tuple[int, ...]
+    role: str  # "high" | "low"
+    boundary: bool
+
+
+@dataclass(frozen=True)
 class ShapeSpec:
     """An ordered sequence of monotone pieces, optionally with free boundaries.
 
@@ -35,25 +43,69 @@ class ShapeSpec:
     mode, which is pinned at 1, and the boundary antimodes, which sit at
     the template floor omega.  With ``free_boundaries`` the boundary
     antimodes are set by it too; boundary modes always are.
+
+    The constructor works out the level layout once: ``levels`` (knots
+    joined by flat pieces, each a local maximum "high" or minimum "low"),
+    ``n_modes``, ``free_levels`` (the levels the height-ratio vector sets,
+    left to right) and ``knot_levels`` (each knot's level).
     """
 
     pieces: tuple[Piece, ...]
     free_boundaries: bool = False
+    levels: tuple[_Level, ...] = field(init=False, repr=False, compare=False)
+    n_modes: int = field(init=False, repr=False, compare=False)
+    free_levels: list[int] = field(init=False, repr=False, compare=False)
+    knot_levels: list[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        ps = tuple(self.pieces)
+        try:
+            ps = tuple(self.pieces)
+        except TypeError:
+            raise ShapeError(f"pieces must be a sequence, got {self.pieces!r}") from None
         if not ps:
             raise ShapeError("shape needs at least one piece")
         for p in ps:
             if p not in ("inc", "dec", "flat"):
                 raise ShapeError(f"unknown piece kind {p!r}")
+        name = ",".join(ps)
         for a, b in zip(ps, ps[1:]):
             if a == b:
                 raise ShapeError(f"adjacent {a!r} pieces are not a legal shape")
+        if "inc" not in ps and "dec" not in ps:
+            raise ShapeError(f"shape {name} has no inc or dec piece, hence no mode")
+        groups: list[list[int]] = [[0]]
+        for i, p in enumerate(ps):
+            if p == "flat":
+                groups[-1].append(i + 1)
+            else:
+                groups.append([i + 1])
+        levels = []
+        for g in groups:
+            # no two flat pieces touch, so the pieces around a level are monotone
+            d_in = ps[g[0] - 1] if g[0] > 0 else None
+            d_out = ps[g[-1]] if g[-1] < len(ps) else None
+            if d_in == d_out:  # a flat run inside a monotone run
+                raise ShapeError(f"shape {name} has a shoulder ({d_in},flat,{d_in})")
+            role = "high" if d_in == "inc" or d_out == "dec" else "low"
+            levels.append(_Level(tuple(g), role, g[0] == 0 or g[-1] == len(ps)))
+        first = [lv.role for lv in levels].index("high")  # pinned at 1
+        free = [
+            i
+            for i, lv in enumerate(levels)
+            if i != first
+            and (lv.role == "high" or not lv.boundary or self.free_boundaries)
+        ]
         object.__setattr__(self, "pieces", ps)
+        object.__setattr__(self, "levels", tuple(levels))
+        object.__setattr__(self, "n_modes", sum(lv.role == "high" for lv in levels))
+        object.__setattr__(self, "free_levels", free)
+        knot_levels = [i for i, lv in enumerate(levels) for _ in lv.knots]
+        object.__setattr__(self, "knot_levels", knot_levels)
 
     @classmethod
     def modes(cls, m: int) -> "ShapeSpec":
+        if not isinstance(m, numbers.Integral) or isinstance(m, bool):
+            raise ShapeError(f"mode count must be an integer, got {m!r}")
         if m < 1:
             raise ShapeError(f"mode count must be positive, got {m}")
         return cls(("inc", "dec") * m)
@@ -67,84 +119,24 @@ class ShapeSpec:
         """Equal-width critical locations j / n_pieces."""
         return np.linspace(0.0, 1.0, self.n_pieces + 1)
 
-    def levels(self) -> list["_Level"]:
-        """Merge knots joined by flat pieces into critical levels.
-
-        Each level is classified as a local maximum ("high") or local
-        minimum ("low") from the directions of the surrounding pieces.
-        """
-        groups: list[list[int]] = [[0]]
-        for i, p in enumerate(self.pieces):
-            if p == "flat":
-                groups[-1].append(i + 1)
-            else:
-                groups.append([i + 1])
-        out = []
-        for g in groups:
-            d_in = self.pieces[g[0] - 1] if g[0] > 0 else None
-            d_out = self.pieces[g[-1]] if g[-1] < self.n_pieces else None
-            d_in = None if d_in == "flat" else d_in
-            d_out = None if d_out == "flat" else d_out
-            if (d_in in (None, "inc")) and (d_out in (None, "dec")):
-                role = "high"
-            elif (d_in in (None, "dec")) and (d_out in (None, "inc")):
-                role = "low"
-            else:
-                # monotone run through the level (only possible at all-flat ends)
-                raise ShapeError("shape has an ill-defined critical level")
-            out.append(_Level(tuple(g), role, g[0] == 0 or g[-1] == self.n_pieces))
-        return out
-
-    @property
-    def n_modes(self) -> int:
-        return sum(1 for lv in self.levels() if lv.role == "high")
-
-    def first_mode(self) -> int:
-        """Index of the first local maximum: its height is pinned at 1."""
-        return next(i for i, lv in enumerate(self.levels()) if lv.role == "high")
-
-    def free_levels(self) -> list[int]:
-        """Indices of the levels the height-ratio vector sets, left to right."""
-        first = self.first_mode()
-        return [
-            i
-            for i, lv in enumerate(self.levels())
-            if i != first
-            and (lv.role == "high" or not lv.boundary or self.free_boundaries)
-        ]
-
-    def knot_levels(self) -> list[int]:
-        """Index of each knot's critical level, left to right."""
-        return [i for i, lv in enumerate(self.levels()) for _ in lv.knots]
-
-    def n_lambda(self) -> int:
-        """Length of the height-ratio vector for this shape."""
-        return len(self.free_levels())
-
-
-@dataclass(frozen=True)
-class _Level:
-    knots: tuple[int, ...]
-    role: str  # "high" | "low"
-    boundary: bool
-
 
 def level_heights(shape: ShapeSpec, lam: np.ndarray, omega: float) -> np.ndarray:
     """Expand a height-ratio vector into one height per critical level.
 
-    The first mode is 1, ``shape.free_levels()`` take lam in order and
+    The first mode is 1, ``shape.free_levels`` take lam in order and
     the remaining levels (boundary antimodes) sit at omega.
     """
     lam = np.atleast_1d(np.asarray(lam, float))
-    free = shape.free_levels()
+    free = shape.free_levels
     if lam.size != len(free):
         raise ConstraintError(
             f"height-ratio vector has length {lam.size}, expected {len(free)}"
         )
     if not np.all(np.isfinite(lam) & (lam > 0)):
         raise ConstraintError("height ratios must be finite and strictly positive")
-    heights = np.full(len(shape.levels()), float(omega))
-    heights[shape.first_mode()] = 1.0
+    # every mode but the first is free, and so is every antimode but the
+    # pinned boundary ones
+    heights = np.array([1.0 if lv.role == "high" else omega for lv in shape.levels])
     heights[free] = lam
     return heights
 
@@ -162,7 +154,7 @@ class TemplateFunction:
 def build_template(
     shape: ShapeSpec,
     lam: np.ndarray | Sequence[float],
-    omega: float = 1e-3,
+    omega: float,
     n: int = DEFAULT_GRID_SIZE,
 ) -> TemplateFunction:
     """Construct the template with equal-width pieces and the given heights.
@@ -170,7 +162,7 @@ def build_template(
     Raises ConstraintError when the heights are not consistent with the
     piece directions (the feasibility set of the height-ratio vector).
     """
-    knot_heights = level_heights(shape, lam, omega)[shape.knot_levels()]
+    knot_heights = level_heights(shape, lam, omega)[shape.knot_levels]
     for i, p in enumerate(shape.pieces):
         lo, hi = knot_heights[i], knot_heights[i + 1]
         if p == "inc" and not hi > lo:
@@ -301,7 +293,7 @@ def oracle_reconstruct_warp(
         raise ShapeError("constructive reconstruction needs strictly monotone pieces")
     if shape.free_boundaries:
         raise ShapeError("constructive reconstruction assumes pinned boundaries")
-    levels = shape.levels()
+    levels = shape.levels
     if levels[0].role == "high" or levels[-1].role == "high":
         raise ShapeError(
             "constructive reconstruction needs a shape that rises from its left "

@@ -177,6 +177,16 @@ def test_fixed_settings_are_not_flags_exit_64(command, flags, sample_csv, tmp_pa
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["fit", "cfit"])
+@pytest.mark.parametrize("shape", ["inc,flat,inc", "flat"])
+def test_bad_shape_exit_4_before_reading_data(command, shape, tmp_path, capsys):
+    # a shoulder or an all-flat shape is refused before the input is opened
+    missing = tmp_path / "missing.csv"
+    code = main([command, str(missing), "-o", str(tmp_path / "x.json"), "--shape", shape])
+    assert code == 4
+    assert f"shape {shape} " in capsys.readouterr().err
+
+
 def test_failed_curve_write_leaves_no_temp_file(tmp_path):
     target = tmp_path / "curve.csv"
     target.mkdir()  # replacing a directory with a file fails

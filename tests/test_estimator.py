@@ -236,6 +236,52 @@ class TestConfigValidation:
         assert cfg.j_values() == [2, 4]
 
 
+@pytest.mark.parametrize(
+    "make, error",
+    [
+        (lambda: FitConfig(shape=("inc", "dec")), ConstraintError),
+        (lambda: ShapeSpec.modes(2.5), ShapeError),
+        (lambda: ShapeSpec.modes("2"), ShapeError),
+        (lambda: ShapeSpec.modes(True), ShapeError),
+        (lambda: ShapeSpec(None), ShapeError),
+    ],
+    ids=["tuple-shape", "float-modes", "str-modes", "bool-modes", "none-pieces"],
+)
+def test_malformed_shape_input_raises_typed_error(make, error):
+    with pytest.raises(error):
+        make()
+
+
+def _piece_sequences(longest):
+    """Every sequence of 1 to ``longest`` pieces with no two equal pieces adjacent."""
+    seqs = [()]
+    for _ in range(longest):
+        seqs = [s + (p,) for s in seqs for p in ("inc", "dec", "flat") if s[-1:] != (p,)]
+        yield from seqs
+
+
+def test_every_short_shape_is_rejected_or_fits_with_its_mode_count():
+    # 186 (pieces, free_boundaries) pairs: the constructor refuses shoulders
+    # and all-flat shapes, and every shape it accepts fits on one sample
+    # with exactly its mode count
+    rng = np.random.default_rng(0)
+    x = np.concatenate([rng.normal(-2.0, 0.6, 100), rng.normal(1.5, 0.8, 100)])
+    outcomes = {"shoulder": 0, "no inc or dec": 0, "fit": 0}
+    for pieces in _piece_sequences(5):
+        for free in (False, True):
+            try:
+                shape = ShapeSpec(pieces, free_boundaries=free)
+            except ShapeError as exc:
+                kind = next(k for k in outcomes if k in str(exc))
+                outcomes[kind] += 1
+                continue
+            est = fit(x, FitConfig(shape=shape, j_max=2, restarts=1))
+            assert count_modes(est.unit_density()) == shape.n_modes, pieces
+            assert abs(np.trapezoid(est.p, est.t) - 1.0) <= 1e-6, pieces
+            outcomes["fit"] += 1
+    assert outcomes == {"shoulder": 64, "no inc or dec": 2, "fit": 120}
+
+
 GRADIENT_SHAPES = [
     ShapeSpec.modes(1),
     ShapeSpec.modes(2),
@@ -269,9 +315,8 @@ LAYOUTS = {
 )
 def test_height_layout(shape):
     free, knots = LAYOUTS[shape]
-    assert shape.free_levels() == free
-    assert shape.knot_levels() == knots
-    assert shape.n_lambda() == len(free)
+    assert shape.free_levels == free
+    assert shape.knot_levels == knots
 
 
 class TestObjective:
@@ -293,7 +338,7 @@ class TestObjective:
         # template shows every mode and antimode
         obj = _Objective(np.array([0.5]), shape, 2, None)
         heights = obj.heights(np.array(u[: obj.n_params - 2]))[0]
-        modes = [i for i, lv in enumerate(shape.levels()) if lv.role == "high"]
+        modes = [i for i, lv in enumerate(shape.levels) if lv.role == "high"]
         ratio = heights[modes].max() / heights[modes].min()
         assert ratio <= (0.5 / obj.rel_gap) * (1.0 + 1e-12)
         cfg = FitConfig(shape=shape)

@@ -70,10 +70,10 @@ class TestShapeSpec:
         s = ShapeSpec.modes(2)
         assert s.pieces == ("inc", "dec", "inc", "dec")
         assert s.n_modes == 2
-        assert s.n_lambda() == 2
+        assert len(s.free_levels) == 2
 
     def test_unimodal_has_no_free_lambda(self):
-        assert ShapeSpec.modes(1).n_lambda() == 0
+        assert ShapeSpec.modes(1).free_levels == []
 
     def test_knots_equal_width(self):
         s = ShapeSpec.modes(3)
@@ -81,7 +81,7 @@ class TestShapeSpec:
 
     def test_flat_sequence_levels(self):
         s = ShapeSpec(("inc", "flat", "dec"))
-        lv = s.levels()
+        lv = s.levels
         roles = [l.role for l in lv]
         assert roles == ["low", "high", "low"]
         assert s.n_modes == 1
@@ -166,7 +166,7 @@ class TestCountModes:
         # a density that falls from its left end or rises to its right end
         # has a mode there; critical_points lists interior turns only
         shape = ShapeSpec(pieces)
-        lam = [0.3, 0.8][: shape.n_lambda()]
+        lam = [0.3, 0.8][: len(shape.free_levels)]
         p = template_density(build_template(shape, lam, omega=0.01, n=257))
         assert count_modes(p) == modes
         cps = critical_points(p)
@@ -327,7 +327,7 @@ class TestOracle:
         # the oracle recovers interior critical heights only, so a template
         # of the very shape is refused with a ShapeError
         shape = ShapeSpec(pieces)
-        lam = [0.3, 0.8][: shape.n_lambda()]
+        lam = [0.3, 0.8][: len(shape.free_levels)]
         p = template_density(build_template(shape, lam, omega=0.01, n=N))
         with pytest.raises(ShapeError, match="boundary mode"):
             oracle_reconstruct_warp(p, shape)
