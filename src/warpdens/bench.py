@@ -348,7 +348,10 @@ def run_benchmark(
     ``WarpdensError`` is counted and recorded in ``failed``; all failing
     raises ``DomainError``.  ``workers`` is accepted and ignored: threads
     ran replicates about 3x slower, as the fit's small numpy calls
-    contend for the interpreter lock.
+    contend for the interpreter lock, and each fit already runs its
+    starts on every CPU (``estimator.fit_fixed_j``).  A process pool of
+    replicates stays out too: the benchmark harness captures each
+    estimate by wrapping ``fit_conditional`` in its own process.
     """
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")

@@ -9,11 +9,12 @@ by the inverse square root of the pilot KDE at the location).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DegenerateSampleError, DomainError
+from .errors import ConstraintError, DegenerateSampleError, DomainError
 from . import estimator
 from .estimator import DensityEstimate, FitConfig
 
@@ -27,6 +28,12 @@ class ConditionalFitConfig:
     neighbor_fraction: float = 0.5
 
     def __post_init__(self):
+        if not isinstance(self.base, FitConfig):
+            raise ConstraintError(f"base must be a FitConfig, got {self.base!r}")
+        for name in ("x0", "neighbor_fraction"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real) or isinstance(value, bool):
+                raise DomainError(f"{name} must be a real number, got {value!r}")
         if not 0.0 < self.neighbor_fraction <= 1.0:
             raise DomainError("neighbor_fraction must be in (0, 1]")
         if not math.isfinite(self.x0):

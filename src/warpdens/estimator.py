@@ -14,6 +14,9 @@ from __future__ import annotations
 
 import math
 import numbers
+import os
+import pickle
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -415,6 +418,74 @@ def _random_start(obj: _Objective, rng: np.random.Generator) -> np.ndarray:
     return theta
 
 
+def _shares() -> int:
+    """How many processes run a J's starts: one per CPU in this process's
+    affinity mask.  One, with no fork, where ``os.fork`` or
+    ``os.sched_getaffinity`` is missing, or while another Python thread
+    runs: that thread may hold a lock that the child would wait on forever.
+    """
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    if threading.active_count() > 1:
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _run_starts(obj: _Objective, starts: list) -> list:
+    """(fun, start index, end point) of every start's search, in start order.
+
+    Start r runs in share r mod S, with S = min(len(starts), ``_shares()``).
+    A child forked after ``obj`` and the starts exist runs each share but
+    share 0, and sends its rows back pickled through a pipe; the calling
+    process runs share 0, then reads every pipe.  A search is the
+    same computation in whichever process runs it, so the rows do not
+    depend on S.  Every child is reaped before this returns or raises, and
+    a child's exception is raised again here.
+    """
+    shares = min(len(starts), _shares())
+
+    def search(share):  # the starts share, share + shares, ...
+        runs = []
+        for r in range(share, len(starts), shares):
+            res = minimize(obj.value_and_grad, starts[r], options={"maxiter": MAXITER})
+            runs.append((float(res.fun), r, res.x))
+        return runs
+
+    children = []  # (pid, read end of its pipe)
+    try:
+        for share in range(1, shares):
+            rfd, wfd = os.pipe()
+            pid = os.fork()
+            if pid == 0:  # the child: run the share, send it, exit
+                try:
+                    os.close(rfd)
+                    try:
+                        out = (None, search(share))
+                    except BaseException as exc:
+                        out = (exc, None)
+                    with open(wfd, "wb") as pipe:
+                        pickle.dump(out, pipe)
+                finally:
+                    os._exit(0)
+            os.close(wfd)
+            children.append((pid, rfd))
+        runs = search(0)
+        for pid, rfd in children:
+            with open(rfd, "rb", closefd=False) as pipe:
+                data = pipe.read()
+            if not data:
+                raise ChildProcessError(f"search process {pid} sent no result")
+            exc, rows = pickle.loads(data)
+            if exc is not None:
+                raise exc
+            runs += rows
+    finally:
+        for pid, rfd in children:
+            os.close(rfd)
+            os.waitpid(pid, 0)
+    return sorted(runs, key=lambda run: run[1])
+
+
 def fit_fixed_j(
     z: np.ndarray,
     j: int,
@@ -427,11 +498,13 @@ def fit_fixed_j(
     the analytic likelihood gradient; a start where the objective is not
     finite ends at fun = inf and is dropped.  Start 0 is deterministic
     (identity warp, midpoint-feasible heights); the rest draw from
-    per-restart streams seeded by ``cfg.seed``.  ``count_modes`` checks the
-    finite results once each, best objective first (ties to the earliest
-    restart), and the first with the requested modes is returned with c
-    folded into ||c|| <= pi/2 (``_fold``), and with the log-likelihood and
-    grid density at that c.
+    per-restart streams seeded by ``cfg.seed``.  The runs share the CPUs
+    in this process's affinity mask (``_run_starts``: forked children,
+    one per CPU), and the result does not depend on how many there are.
+    ``count_modes`` checks the finite results once each, best objective
+    first (ties to the earliest restart), and the first with the requested
+    modes is returned with c folded into ||c|| <= pi/2 (``_fold``), and
+    with the log-likelihood and grid density at that c.
     """
     z = np.asarray(z, float)
     obj = _Objective(z, cfg.shape, j, weights)
@@ -441,11 +514,7 @@ def fit_fixed_j(
         rng = np.random.default_rng([cfg.seed, r])
         starts.append(_random_start(obj, rng))
 
-    runs = []
-    for r, theta0 in enumerate(starts):
-        res = minimize(obj.value_and_grad, theta0, options={"maxiter": MAXITER})
-        if math.isfinite(res.fun):
-            runs.append((float(res.fun), r, res.x))
+    runs = [run for run in _run_starts(obj, starts) if math.isfinite(run[0])]
     if not runs:
         raise OptimizationError(f"all {len(starts)} starts failed at J={j}")
 

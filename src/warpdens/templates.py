@@ -58,6 +58,10 @@ class ShapeSpec:
     knot_levels: list[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not isinstance(self.free_boundaries, bool):
+            raise ShapeError(
+                f"free_boundaries must be a bool, got {self.free_boundaries!r}"
+            )
         try:
             ps = tuple(self.pieces)
         except TypeError:

@@ -8,6 +8,7 @@ from scipy import stats
 
 from warpdens import (
     ConditionalFitConfig,
+    ConstraintError,
     DegenerateSampleError,
     DomainError,
     FitConfig,
@@ -112,17 +113,31 @@ class TestComputeWeights:
 
 class TestConditionalFitConfig:
     @pytest.mark.parametrize(
-        "change",
+        "change, error",
         [
-            {"x0": math.nan},
-            {"x0": math.inf},
+            ({"x0": math.nan}, DomainError),
+            ({"x0": math.inf}, DomainError),
+            ({"x0": "a"}, DomainError),
+            ({"x0": None}, DomainError),
+            ({"neighbor_fraction": "a"}, DomainError),
+            ({"neighbor_fraction": True}, DomainError),
+            ({"base": None}, ConstraintError),
+            ({"base": ShapeSpec.modes(1)}, ConstraintError),
         ],
-        ids=["x0-nan", "x0-inf"],
+        ids=["x0-nan", "x0-inf", "x0-str", "x0-none", "fraction-str", "fraction-bool",
+             "base-none", "base-shape"],
     )
-    def test_rejected(self, change):
+    def test_rejected(self, change, error):
         fields = {"base": FitConfig(shape=ShapeSpec.modes(1)), "x0": 0.0, **change}
-        with pytest.raises(DomainError):
+        with pytest.raises(error):
             ConditionalFitConfig(**fields)
+
+    def test_numpy_scalars_accepted(self):
+        base = FitConfig(shape=ShapeSpec.modes(1))
+        cfg = ConditionalFitConfig(
+            base, np.float64(0.5), neighbor_fraction=np.float32(0.5)
+        )
+        assert cfg.x0 == 0.5
 
 
 class TestFitConditional:

@@ -1,6 +1,8 @@
 """Tests for support estimation, likelihood, and the sieve MLE."""
 
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 from warpdens import (
     BENCHMARKS,
     CoefficientVector,
+    ConditionalFitConfig,
     ConstraintError,
     DegenerateSampleError,
     DomainError,
@@ -23,6 +26,7 @@ from warpdens import (
     count_modes,
     estimate_support,
     fit,
+    fit_conditional,
     fit_fixed_j,
     fourier_basis,
     group_action,
@@ -46,15 +50,16 @@ def binned_loglik(z, log_p):
 
 
 def record_searches(monkeypatch):
-    """Record (fun, start index, end point) of every search the fit runs."""
-    real_minimize, runs = estimator.minimize, []
+    """Record (fun, start index, end point) of every search the fit runs,
+    as ``_run_starts`` hands them back from every share."""
+    real_run_starts, runs = estimator._run_starts, []
 
-    def recording_minimize(*args, **kwargs):
-        res = real_minimize(*args, **kwargs)
-        runs.append((float(res.fun), len(runs), res.x.copy()))
-        return res
+    def recording_run_starts(*args, **kwargs):
+        result = real_run_starts(*args, **kwargs)
+        runs.extend((fun, r, x.copy()) for fun, r, x in result)
+        return result
 
-    monkeypatch.setattr(estimator, "minimize", recording_minimize)
+    monkeypatch.setattr(estimator, "_run_starts", recording_run_starts)
     return runs
 
 
@@ -244,8 +249,11 @@ class TestConfigValidation:
         (lambda: ShapeSpec.modes("2"), ShapeError),
         (lambda: ShapeSpec.modes(True), ShapeError),
         (lambda: ShapeSpec(None), ShapeError),
+        (lambda: ShapeSpec(("inc", "dec"), free_boundaries="no"), ShapeError),
+        (lambda: ShapeSpec(("inc", "dec"), free_boundaries=1), ShapeError),
     ],
-    ids=["tuple-shape", "float-modes", "str-modes", "bool-modes", "none-pieces"],
+    ids=["tuple-shape", "float-modes", "str-modes", "bool-modes", "none-pieces",
+         "str-free-boundaries", "int-free-boundaries"],
 )
 def test_malformed_shape_input_raises_typed_error(make, error):
     with pytest.raises(error):
@@ -668,6 +676,103 @@ class TestFitFixedJ:
             l2 = math.sqrt(np.trapezoid((p_hat.p - p.p) ** 2, p.t))
             errors.append(l2)
         assert np.median(errors) <= 0.05
+
+
+def _bimodal_sample(seed=0, n=200):
+    rng = np.random.default_rng(seed)
+    return np.concatenate([rng.normal(-1.0, 0.5, n // 2), rng.normal(1.5, 0.6, n // 2)])
+
+
+def _estimate_bytes(est):
+    """Everything a fit reports, as bytes: equal bytes mean identical estimates."""
+    return [np.asarray(v).tobytes() for v in (
+        est.p, est.c_hat.c, est.lambda_hat, est.loglik, est.aic, est.j)]
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestShares:
+    """A J's starts run in forked children, one share per CPU."""
+
+    CFG = FitConfig(shape=ShapeSpec.modes(2), j_max=4, restarts=4, seed=3)
+
+    def fits(self):
+        x = _bimodal_sample()
+        rng = np.random.default_rng(5)
+        xc = rng.uniform(0.0, 1.0, 200)
+        yc = rng.normal(np.where(xc < 0.5, -1.0, 1.5), 0.5)
+        ccfg = ConditionalFitConfig(base=self.CFG, x0=0.5, neighbor_fraction=0.8)
+        return fit(x, self.CFG), fit_conditional(xc, yc, ccfg)
+
+    @pytest.mark.parametrize("shares", [None, 3], ids=["machine", "three"])
+    def test_estimates_do_not_depend_on_the_share_count(self, monkeypatch, shares):
+        if shares is not None:
+            monkeypatch.setattr(estimator, "_shares", lambda: shares)
+        many = self.fits()
+        assert_no_child_left()
+        monkeypatch.setattr(estimator, "_shares", lambda: 1)
+        one = self.fits()
+        for a, b in zip(many, one):
+            assert _estimate_bytes(a) == _estimate_bytes(b)
+
+    def test_runs_come_back_in_start_order(self, monkeypatch):
+        monkeypatch.setattr(estimator, "_shares", lambda: 3)
+        runs = record_searches(monkeypatch)
+        x = _bimodal_sample()
+        fit_fixed_j(rescale_to_unit(x, *estimate_support(x)), 2, self.CFG)
+        assert [r for _, r, _ in runs] == list(range(self.CFG.restarts + 1))
+
+    @pytest.mark.parametrize("where", ["child", "caller"])
+    def test_error_in_a_share_reaches_the_caller(self, monkeypatch, where):
+        monkeypatch.setattr(estimator, "_shares", lambda: 2)
+        caller, real_minimize = os.getpid(), estimator.minimize
+
+        def failing_minimize(*args, **kwargs):
+            if (os.getpid() == caller) == (where == "caller"):
+                raise DomainError(f"raised in the {where}")
+            return real_minimize(*args, **kwargs)
+
+        monkeypatch.setattr(estimator, "minimize", failing_minimize)
+        with pytest.raises(DomainError, match=f"raised in the {where}"):
+            fit(_bimodal_sample(), self.CFG)
+        assert_no_child_left()
+
+    def test_child_that_cannot_send_its_error(self, monkeypatch):
+        # an exception of a local class does not pickle: the child sends nothing
+        class Local(Exception):
+            pass
+
+        monkeypatch.setattr(estimator, "_shares", lambda: 2)
+        caller, real_minimize = os.getpid(), estimator.minimize
+
+        def failing_minimize(*args, **kwargs):
+            if os.getpid() != caller:
+                raise Local
+            return real_minimize(*args, **kwargs)
+
+        monkeypatch.setattr(estimator, "minimize", failing_minimize)
+        with pytest.raises(ChildProcessError, match="sent no result"):
+            fit(_bimodal_sample(), self.CFG)
+        assert_no_child_left()
+
+    def test_fit_in_a_second_thread_runs_one_share(self, monkeypatch):
+        expected = fit(_bimodal_sample(), self.CFG)
+        got = []
+
+        def no_fork():
+            raise AssertionError("forked while another thread runs")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        worker = threading.Thread(
+            target=lambda: got.append(fit(_bimodal_sample(), self.CFG))
+        )
+        worker.start()
+        worker.join(timeout=120)
+        assert not worker.is_alive() and len(got) == 1
+        assert _estimate_bytes(got[0]) == _estimate_bytes(expected)
 
 
 class TestFit:
