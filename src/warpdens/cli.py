@@ -250,9 +250,9 @@ def _add_fit_flags(p: _Parser) -> None:
         "--free-boundaries", action="store_true",
         help="free the boundary antimodes; boundary modes are always free",
     )
-    p.add_argument("--jmax", type=int, default=10)
-    p.add_argument("--restarts", type=int, default=16)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--jmax", type=int, default=FitConfig.j_max)
+    p.add_argument("--restarts", type=int, default=FitConfig.restarts)
+    p.add_argument("--seed", type=int, default=FitConfig.seed)
     p.add_argument(
         "--support", type=_parse_support, default=None, metavar="A,B",
         help="fixed support; write --support=A,B when A is negative",
@@ -275,14 +275,15 @@ def build_parser() -> _Parser:
     p_cfit.add_argument("-o", "--output", required=True)
     _add_fit_flags(p_cfit)
     p_cfit.add_argument("--x0", type=float, default=None)
-    p_cfit.add_argument("--frac", type=float, default=0.5)
+    p_cfit.add_argument("--frac", type=float,
+                        default=ConditionalFitConfig.neighbor_fraction)
     p_cfit.set_defaults(func=cmd_cfit)
 
     p_bench = sub.add_parser("bench", help="run a named benchmark (or 'list')")
     p_bench.add_argument("name")
     p_bench.add_argument("--n", type=int, default=None)
-    p_bench.add_argument("--reps", type=int, default=20)
-    p_bench.add_argument("--seed", type=int, default=0)
+    p_bench.add_argument("--reps", type=int, default=bench_mod.BenchmarkSpec.replicates)
+    p_bench.add_argument("--seed", type=int, default=bench_mod.BenchmarkSpec.seed)
     p_bench.add_argument("--out-dir", type=str, default=None)
     p_bench.set_defaults(func=cmd_bench)
 

@@ -65,14 +65,16 @@ def adaptive_bandwidth(x: np.ndarray, x0: float, h: float) -> float:
     return h / math.sqrt(k)
 
 
-def compute_weights(
-    x: np.ndarray, x0: float, h_x0: float, frac: float = 0.5
-) -> np.ndarray:
+def compute_weights(x: np.ndarray, x0: float, h_x0: float, frac: float) -> np.ndarray:
     """Normalized Gaussian kernel weights on the nearest ceil(frac*n) points.
 
     All other observations get exactly zero weight.  Distance ties break
     by covariate index.
     """
+    if not 0.0 < frac <= 1.0:
+        raise DomainError(f"frac must be in (0, 1], got {frac!r}")
+    if not (math.isfinite(h_x0) and h_x0 > 0.0):
+        raise DomainError(f"bandwidth h_x0 must be finite and positive, got {h_x0!r}")
     x = np.asarray(x, float)
     n = x.size
     m = math.ceil(frac * n)

@@ -13,9 +13,9 @@ the ball ||c|| <= pi/2 (``_fold``).
 from __future__ import annotations
 
 import math
+import mmap
 import numbers
 import os
-import pickle
 import threading
 from dataclasses import dataclass
 
@@ -68,8 +68,9 @@ class FitConfig:
 
     def __post_init__(self):
         for name in ("j_max", "restarts", "seed"):
-            if not isinstance(getattr(self, name), numbers.Integral):
-                raise ConstraintError(f"{name} must be an integer")
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ConstraintError(f"{name} must be an integer, got {value!r}")
         if not isinstance(self.shape, ShapeSpec):
             raise ConstraintError(f"shape must be a ShapeSpec, got {self.shape!r}")
         if self.j_max < J_STEP or min_grid_size(self.j_max) > DEFAULT_GRID_SIZE:
@@ -80,7 +81,10 @@ class FitConfig:
             raise ConstraintError("seed must be >= 0")
         s = self.support
         if s is not None and not (
-            len(s) == 2 and math.isfinite(s[0]) and math.isfinite(s[1]) and s[0] < s[1]
+            (isinstance(s, (tuple, list)) or isinstance(s, np.ndarray) and s.ndim == 1)
+            and len(s) == 2
+            and all(isinstance(v, numbers.Real) and math.isfinite(v) for v in s)
+            and s[0] < s[1]
         ):
             raise ConstraintError("support must be None or two finite values A < B")
 
@@ -381,6 +385,8 @@ def log_likelihood(
     weights = _check_sample(z, weights)
     if np.any((z < 0.0) | (z > 1.0)):
         raise DomainError("unit-interval samples must lie in [0, 1]")
+    if not isinstance(c, CoefficientVector):
+        raise DomainError(f"c must be a CoefficientVector, got {type(c).__name__}")
     cc = np.asarray(c.c, float)
     if cc.ndim != 1:
         raise DomainError(f"need a 1-D coefficient vector, got shape {cc.shape}")
@@ -431,59 +437,45 @@ def _shares() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _run_starts(obj: _Objective, starts: list) -> list:
-    """(fun, start index, end point) of every start's search, in start order.
+def _run_starts(obj: _Objective, starts: list) -> np.ndarray:
+    """Row r holds start r's search: its fun, then its end point.
 
-    Start r runs in share r mod S, with S = min(len(starts), ``_shares()``).
-    A child forked after ``obj`` and the starts exist runs each share but
-    share 0, and sends its rows back pickled through a pipe; the calling
-    process runs share 0, then reads every pipe.  A search is the
-    same computation in whichever process runs it, so the rows do not
-    depend on S.  Every child is reaped before this returns or raises, and
-    a child's exception is raised again here.
+    The rows live in one float64 table, shared with the children through
+    an anonymous mapping made before the fork.  Start r runs in share
+    r mod S, S = min(len(starts), ``_shares()``); a forked child runs each
+    share but share 0, which the caller runs.  A search writes its end
+    point, then its fun, so a row whose fun is still NaN did not finish:
+    once every child is reaped, the caller runs those rows itself.  A
+    search is the same computation in any process, so the rows depend
+    neither on S nor on a child that raised or was killed, and an error
+    that a search raises everywhere reaches the caller from its own run.
     """
-    shares = min(len(starts), _shares())
+    n, shares = len(starts), min(len(starts), _shares())
+    table = np.frombuffer(mmap.mmap(-1, 8 * n * (1 + obj.n_params))).reshape(n, -1)
+    table[:, 0] = np.nan
 
-    def search(share):  # the starts share, share + shares, ...
-        runs = []
-        for r in range(share, len(starts), shares):
+    def search(rows):
+        for r in rows:
             res = minimize(obj.value_and_grad, starts[r], options={"maxiter": MAXITER})
-            runs.append((float(res.fun), r, res.x))
-        return runs
+            table[r, 1:] = res.x
+            table[r, 0] = res.fun
 
-    children = []  # (pid, read end of its pipe)
+    children = []
     try:
         for share in range(1, shares):
-            rfd, wfd = os.pipe()
             pid = os.fork()
-            if pid == 0:  # the child: run the share, send it, exit
+            if pid == 0:  # the child: run the share, then exit
                 try:
-                    os.close(rfd)
-                    try:
-                        out = (None, search(share))
-                    except BaseException as exc:
-                        out = (exc, None)
-                    with open(wfd, "wb") as pipe:
-                        pickle.dump(out, pipe)
+                    search(range(share, n, shares))
                 finally:
                     os._exit(0)
-            os.close(wfd)
-            children.append((pid, rfd))
-        runs = search(0)
-        for pid, rfd in children:
-            with open(rfd, "rb", closefd=False) as pipe:
-                data = pipe.read()
-            if not data:
-                raise ChildProcessError(f"search process {pid} sent no result")
-            exc, rows = pickle.loads(data)
-            if exc is not None:
-                raise exc
-            runs += rows
+            children.append(pid)
+        search(range(0, n, shares))
     finally:
-        for pid, rfd in children:
-            os.close(rfd)
+        for pid in children:
             os.waitpid(pid, 0)
-    return sorted(runs, key=lambda run: run[1])
+    search(np.flatnonzero(np.isnan(table[:, 0])))
+    return table.copy()
 
 
 def fit_fixed_j(
@@ -500,11 +492,13 @@ def fit_fixed_j(
     (identity warp, midpoint-feasible heights); the rest draw from
     per-restart streams seeded by ``cfg.seed``.  The runs share the CPUs
     in this process's affinity mask (``_run_starts``: forked children,
-    one per CPU), and the result does not depend on how many there are.
-    ``count_modes`` checks the finite results once each, best objective
-    first (ties to the earliest restart), and the first with the requested
-    modes is returned with c folded into ||c|| <= pi/2 (``_fold``), and
-    with the log-likelihood and grid density at that c.
+    one per CPU, write into one shared table with a row per start), and
+    the result depends neither on how many there are nor on a child that
+    fails: the caller runs the rows it left.  ``count_modes`` checks the
+    finite results once each, best objective first (ties to the earliest
+    restart), and the first with the requested modes is returned with c
+    folded into ||c|| <= pi/2 (``_fold``), and with the log-likelihood and
+    grid density at that c.
     """
     z = np.asarray(z, float)
     obj = _Objective(z, cfg.shape, j, weights)
@@ -514,12 +508,14 @@ def fit_fixed_j(
         rng = np.random.default_rng([cfg.seed, r])
         starts.append(_random_start(obj, rng))
 
-    runs = [run for run in _run_starts(obj, starts) if math.isfinite(run[0])]
-    if not runs:
+    rows = _run_starts(obj, starts)
+    funs = rows[:, 0]
+    ranked = [r for r in np.argsort(funs, kind="stable") if math.isfinite(funs[r])]
+    if not ranked:
         raise OptimizationError(f"all {len(starts)} starts failed at J={j}")
 
     n_modes = cfg.shape.n_modes
-    for _, _, theta in sorted(runs, key=lambda run: run[:2]):
+    for theta in rows[ranked, 1:]:
         c = _fold(theta[:j])
         heights = obj.heights(theta[j:])[0]
         ll, p = obj.forward(c, heights[obj.knot_levels])

@@ -5,8 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from warpdens import GridDensity, bench, count_modes
-from warpdens.cli import _write_curve_csv, main
+from warpdens import ConditionalFitConfig, FitConfig, GridDensity, bench, count_modes
+from warpdens.cli import _write_curve_csv, build_parser, main
 
 
 def write_sample_csv(path, values, header=None):
@@ -185,6 +185,20 @@ def test_bad_shape_exit_4_before_reading_data(command, shape, tmp_path, capsys):
     code = main([command, str(missing), "-o", str(tmp_path / "x.json"), "--shape", shape])
     assert code == 4
     assert f"shape {shape} " in capsys.readouterr().err
+
+
+def test_flag_defaults_are_the_config_defaults():
+    parse = build_parser().parse_args
+    for command in ("fit", "cfit"):
+        args = parse([command, "in.csv", "-o", "out.json", "--modes", "1"])
+        assert (args.jmax, args.restarts, args.seed) == (
+            FitConfig.j_max, FitConfig.restarts, FitConfig.seed
+        )
+    assert args.frac == ConditionalFitConfig.neighbor_fraction
+    args = parse(["bench", "bimodal"])
+    assert (args.reps, args.seed) == (
+        bench.BenchmarkSpec.replicates, bench.BenchmarkSpec.seed
+    )
 
 
 def test_failed_curve_write_leaves_no_temp_file(tmp_path):

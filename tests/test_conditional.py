@@ -110,6 +110,17 @@ class TestComputeWeights:
         # independently derived normalized values
         assert np.max(np.abs(w - [0.57410, 0.34821, 0.07770])) < 1e-4
 
+    @pytest.mark.parametrize(
+        "h_x0, frac",
+        [(1.0, 0.0), (1.0, -0.5), (1.0, 1.5), (1.0, math.nan),
+         (0.0, 0.5), (-1.0, 0.5), (math.inf, 0.5), (math.nan, 0.5)],
+        ids=["frac-zero", "frac-negative", "frac-above-one", "frac-nan",
+             "h-zero", "h-negative", "h-inf", "h-nan"],
+    )
+    def test_rejected(self, h_x0, frac):
+        with pytest.raises(DomainError):
+            compute_weights(np.linspace(-1.0, 1.0, 20), 0.0, h_x0, frac)
+
 
 class TestConditionalFitConfig:
     @pytest.mark.parametrize(

@@ -2,6 +2,7 @@
 
 import math
 import os
+import signal
 import threading
 
 import numpy as np
@@ -51,13 +52,13 @@ def binned_loglik(z, log_p):
 
 def record_searches(monkeypatch):
     """Record (fun, start index, end point) of every search the fit runs,
-    as ``_run_starts`` hands them back from every share."""
+    from the rows ``_run_starts`` hands back from every share."""
     real_run_starts, runs = estimator._run_starts, []
 
     def recording_run_starts(*args, **kwargs):
-        result = real_run_starts(*args, **kwargs)
-        runs.extend((fun, r, x.copy()) for fun, r, x in result)
-        return result
+        rows = real_run_starts(*args, **kwargs)
+        runs.extend((row[0], r, row[1:].copy()) for r, row in enumerate(rows))
+        return rows
 
     monkeypatch.setattr(estimator, "_run_starts", recording_run_starts)
     return runs
@@ -196,6 +197,11 @@ class TestLogLikelihood:
         with pytest.raises(ConstraintError, match="finite"):
             log_likelihood(np.array([0.2, 0.5]), c, np.array([0.5, bad]), cfg)
 
+    def test_bare_array_coefficients_rejected(self):
+        cfg = FitConfig(shape=ShapeSpec.modes(1))
+        with pytest.raises(DomainError, match="CoefficientVector"):
+            log_likelihood(np.array([0.2, 0.5]), np.zeros(2), np.empty(0), cfg)
+
     def test_non_vector_coefficients_rejected(self):
         cfg = FitConfig(shape=ShapeSpec.modes(1))
         c = CoefficientVector(np.zeros((2, 2)))
@@ -220,6 +226,12 @@ class TestConfigValidation:
             {"j_max": 4.0},
             {"restarts": 1.5},
             {"seed": 0.5},
+            {"support": (0, "1")},
+            {"support": 5},
+            {"support": [0.0, 1.0, 2.0]},
+            {"support": np.array(0.5)},
+            {"restarts": True},
+            {"seed": False},
         ],
     )
     def test_rejected(self, change):
@@ -230,6 +242,13 @@ class TestConfigValidation:
         # the 1024-point grid is the coarsest that resolves 1022 functions
         cfg = FitConfig(shape=ShapeSpec.modes(1), j_max=1022)
         assert cfg.j_values()[-1] == 1022
+
+    @pytest.mark.parametrize(
+        "support", [[-1, 1], np.array([-1.0, 1.0]), (np.float32(-1), 1.5)],
+        ids=["list", "array", "numpy-scalar"],
+    )
+    def test_support_of_two_reals_accepted(self, support):
+        assert FitConfig(shape=ShapeSpec.modes(1), support=support).support is support
 
     def test_numpy_integers_accepted(self):
         cfg = FitConfig(
@@ -707,6 +726,29 @@ class TestShares:
         ccfg = ConditionalFitConfig(base=self.CFG, x0=0.5, neighbor_fraction=0.8)
         return fit(x, self.CFG), fit_conditional(xc, yc, ccfg)
 
+    def one_share_fit(self, monkeypatch):
+        monkeypatch.setattr(estimator, "_shares", lambda: 1)
+        return self.fit_bytes(monkeypatch)
+
+    def fit_bytes(self, monkeypatch):
+        """Bytes of the estimate, and of every search's row at every J."""
+        runs = record_searches(monkeypatch)
+        est = fit(_bimodal_sample(), self.CFG)
+        return _estimate_bytes(est), [np.hstack([fun, x]).tobytes() for fun, _, x in runs]
+
+    def fail_in(self, monkeypatch, where, fail):
+        """Two shares, and ``fail()`` runs before every search in the
+        caller, in the child, or in both."""
+        monkeypatch.setattr(estimator, "_shares", lambda: 2)
+        caller, real_minimize = os.getpid(), estimator.minimize
+
+        def failing_minimize(*args, **kwargs):
+            if where == "everywhere" or (os.getpid() == caller) == (where == "caller"):
+                fail()
+            return real_minimize(*args, **kwargs)
+
+        monkeypatch.setattr(estimator, "minimize", failing_minimize)
+
     @pytest.mark.parametrize("shares", [None, 3], ids=["machine", "three"])
     def test_estimates_do_not_depend_on_the_share_count(self, monkeypatch, shares):
         if shares is not None:
@@ -719,43 +761,72 @@ class TestShares:
             assert _estimate_bytes(a) == _estimate_bytes(b)
 
     def test_runs_come_back_in_start_order(self, monkeypatch):
-        monkeypatch.setattr(estimator, "_shares", lambda: 3)
-        runs = record_searches(monkeypatch)
+        # row r is start r's search, as the caller alone would run it, with
+        # one process per start: more processes than most hosts have cores
+        monkeypatch.setattr(estimator, "_shares", lambda: self.CFG.restarts + 1)
         x = _bimodal_sample()
-        fit_fixed_j(rescale_to_unit(x, *estimate_support(x)), 2, self.CFG)
-        assert [r for _, r, _ in runs] == list(range(self.CFG.restarts + 1))
+        obj = _Objective(rescale_to_unit(x, *estimate_support(x)), self.CFG.shape, 2, None)
+        rng = np.random.default_rng(0)
+        starts = [_random_start(obj, rng) for _ in range(self.CFG.restarts + 1)]
+        rows = estimator._run_starts(obj, starts)
+        assert_no_child_left()
+        for row, start in zip(rows, starts):
+            res = estimator.minimize(
+                obj.value_and_grad, start, options={"maxiter": estimator.MAXITER}
+            )
+            assert row[0] == res.fun and np.array_equal(row[1:], res.x)
 
-    @pytest.mark.parametrize("where", ["child", "caller"])
+    @pytest.mark.parametrize("where", ["caller", "everywhere"])
     def test_error_in_a_share_reaches_the_caller(self, monkeypatch, where):
-        monkeypatch.setattr(estimator, "_shares", lambda: 2)
-        caller, real_minimize = os.getpid(), estimator.minimize
+        def fail():
+            raise DomainError(f"raised {where}")
 
-        def failing_minimize(*args, **kwargs):
-            if (os.getpid() == caller) == (where == "caller"):
-                raise DomainError(f"raised in the {where}")
-            return real_minimize(*args, **kwargs)
-
-        monkeypatch.setattr(estimator, "minimize", failing_minimize)
-        with pytest.raises(DomainError, match=f"raised in the {where}"):
+        self.fail_in(monkeypatch, where, fail)
+        with pytest.raises(DomainError, match=f"raised {where}"):
             fit(_bimodal_sample(), self.CFG)
         assert_no_child_left()
 
-    def test_child_that_cannot_send_its_error(self, monkeypatch):
-        # an exception of a local class does not pickle: the child sends nothing
+    @pytest.mark.parametrize("error", ["DomainError", "unpicklable"])
+    def test_error_only_in_a_child_leaves_the_estimate(self, monkeypatch, error):
+        # the caller runs the child's rows itself; an exception of a local
+        # class does not pickle, and nothing needs it to
         class Local(Exception):
             pass
 
+        expected = self.one_share_fit(monkeypatch)
+
+        def fail():
+            raise DomainError("raised in the child") if error == "DomainError" else Local()
+
+        self.fail_in(monkeypatch, "child", fail)
+        assert self.fit_bytes(monkeypatch) == expected
+        assert_no_child_left()
+
+    def test_child_killed_mid_share_leaves_the_estimate(self, monkeypatch):
+        # the child finishes its share's first search, then dies while it
+        # writes the second one's row; the caller runs that row again
+        expected = self.one_share_fit(monkeypatch)
         monkeypatch.setattr(estimator, "_shares", lambda: 2)
-        caller, real_minimize = os.getpid(), estimator.minimize
+        caller, real_minimize, searches = os.getpid(), estimator.minimize, []
 
-        def failing_minimize(*args, **kwargs):
+        class DiesOnReadingItsEndPoint:
+            def __init__(self, fun):
+                self.fun = fun
+
+            @property
+            def x(self):
+                os.kill(os.getpid(), signal.SIGKILL)
+
+        def minimize_then_die(*args, **kwargs):
+            res = real_minimize(*args, **kwargs)
             if os.getpid() != caller:
-                raise Local
-            return real_minimize(*args, **kwargs)
+                searches.append(res)
+                if len(searches) == 2:
+                    return DiesOnReadingItsEndPoint(res.fun)
+            return res
 
-        monkeypatch.setattr(estimator, "minimize", failing_minimize)
-        with pytest.raises(ChildProcessError, match="sent no result"):
-            fit(_bimodal_sample(), self.CFG)
+        monkeypatch.setattr(estimator, "minimize", minimize_then_die)
+        assert self.fit_bytes(monkeypatch) == expected
         assert_no_child_left()
 
     def test_fit_in_a_second_thread_runs_one_share(self, monkeypatch):
