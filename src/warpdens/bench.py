@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 import tempfile
 import time
@@ -353,12 +354,12 @@ def run_benchmark(
     replicates stays out too: the benchmark harness captures each
     estimate by wrapping ``fit_conditional`` in its own process.
     """
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
-    if spec.seed < 0:
-        raise DomainError(f"seed must be >= 0, got {spec.seed}")
-    if spec.replicates < 1:
-        raise DomainError(f"replicates must be >= 1, got {spec.replicates}")
+    for name, value, least in (("n", n, 1), ("seed", spec.seed, 0),
+                               ("replicates", spec.replicates, 1)):
+        if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+            raise DomainError(f"{name} must be an integer, got {value!r}")
+        if value < least:
+            raise DomainError(f"{name} must be >= {least}, got {value}")
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)  # fail before any replicate runs
     ok: list[ReplicateRecord] = []

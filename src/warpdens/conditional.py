@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConstraintError, DegenerateSampleError, DomainError
+from .errors import ConstraintError, DegenerateSampleError, DomainError, real_array
 from . import estimator
 from .estimator import DensityEstimate, FitConfig
 
@@ -42,7 +42,7 @@ class ConditionalFitConfig:
 
 def pilot_bandwidth(x: np.ndarray) -> float:
     """Normal-reference bandwidth 1.06 sd(x) n^(-1/5)."""
-    x = np.asarray(x, float)
+    x = real_array(x, DegenerateSampleError, "covariates")
     n = x.size
     if n < 10:
         raise DegenerateSampleError("need at least 10 covariates")
@@ -59,7 +59,7 @@ def _gaussian_kde_at(x: np.ndarray, x0: float, h: float) -> float:
 
 def adaptive_bandwidth(x: np.ndarray, x0: float, h: float) -> float:
     """Location bandwidth h / sqrt(pilot KDE at x0)."""
-    k = _gaussian_kde_at(np.asarray(x, float), x0, h)
+    k = _gaussian_kde_at(real_array(x, DomainError, "covariates"), x0, h)
     if k < 1e-12:
         raise DomainError(f"location {x0} lies outside the covariate support")
     return h / math.sqrt(k)
@@ -75,7 +75,7 @@ def compute_weights(x: np.ndarray, x0: float, h_x0: float, frac: float) -> np.nd
         raise DomainError(f"frac must be in (0, 1], got {frac!r}")
     if not (math.isfinite(h_x0) and h_x0 > 0.0):
         raise DomainError(f"bandwidth h_x0 must be finite and positive, got {h_x0!r}")
-    x = np.asarray(x, float)
+    x = real_array(x, DomainError, "covariates")
     n = x.size
     m = math.ceil(frac * n)
     dist = np.abs(x - x0)
@@ -92,8 +92,8 @@ def fit_conditional(
     x: np.ndarray, y: np.ndarray, cfg: ConditionalFitConfig
 ) -> DensityEstimate:
     """Weighted-likelihood density fit for the responses near cfg.x0."""
-    x = np.asarray(x, float)
-    y = np.asarray(y, float)
+    x = real_array(x, DegenerateSampleError, "covariates")
+    y = real_array(y, DegenerateSampleError, "responses")
     if x.ndim != 1 or y.ndim != 1:
         raise DegenerateSampleError(f"need 1-D x and y, got {x.shape} and {y.shape}")
     if x.size != y.size:

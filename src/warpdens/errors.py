@@ -1,5 +1,7 @@
 """Exception hierarchy shared across the package."""
 
+import numpy as np
+
 
 class WarpdensError(Exception):
     """Base class for all package-specific errors."""
@@ -30,4 +32,15 @@ class DegenerateSampleError(WarpdensError):
 
 
 class OptimizationError(WarpdensError):
-    """No optimizer restart produced a finite objective."""
+    """No restart's density has the requested mode count, at one J or at every J."""
+
+
+def real_array(values, error: type[WarpdensError], name: str) -> np.ndarray:
+    """``values`` as a float array; ``error`` if they are not all real numbers."""
+    try:
+        arr = np.asarray(values)
+        if arr.dtype.kind != "c":
+            return arr.astype(float, copy=False)
+    except (TypeError, ValueError):
+        pass
+    raise error(f"{name} must be real numbers")

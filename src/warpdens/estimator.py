@@ -26,6 +26,7 @@ from .errors import (
     DegenerateSampleError,
     DomainError,
     OptimizationError,
+    real_array,
 )
 from .geometry import (
     DEFAULT_GRID_SIZE,
@@ -111,7 +112,7 @@ class DensityEstimate:
     def pdf(self, x) -> np.ndarray:
         """Evaluate the density in data units (zero outside the support)."""
         a, b = self.support
-        x = np.asarray(x, float)
+        x = real_array(x, DomainError, "points")
         z = (x - a) / (b - a)
         return np.interp(z, self.t, self.p, left=0.0, right=0.0) / (b - a)
 
@@ -121,7 +122,7 @@ class DensityEstimate:
 
 def estimate_support(x: np.ndarray) -> tuple[float, float]:
     """Data-driven effective support: min/max widened by sd/sqrt(n)."""
-    x = np.asarray(x, float)
+    x = real_array(x, DegenerateSampleError, "samples")
     n = x.size
     if n < 2:
         raise DegenerateSampleError("need at least 2 observations")
@@ -135,7 +136,7 @@ def estimate_support(x: np.ndarray) -> tuple[float, float]:
 def rescale_to_unit(x: np.ndarray, a: float, b: float) -> np.ndarray:
     if not a < b:
         raise DomainError("support must satisfy A < B")
-    x = np.asarray(x, float)
+    x = real_array(x, DomainError, "observations")
     if np.any(x < a) or np.any(x > b):
         raise DomainError("observations outside the support")
     return (x - a) / (b - a)
@@ -166,11 +167,13 @@ class _Objective:
     antimode is sigmoid(u) * (cap - gap): cap is the lower neighboring
     mode, and gap is rel_gap times the tallest mode, _VISIBLE times the
     least rise over one piece that ``count_modes`` resolves.  The mode
-    bound keeps every cap at or above 2 gap.
+    bound keeps every cap at or above 2 gap and, up to 2,046 pieces, every
+    mode gap above the boundary antimodes at ``OMEGA``: each u gives a
+    visible template.
 
     One evaluation is a few dozen numpy calls on grid-sized arrays, bound
-    by the cost of each call: the height map, the monotone-knot check and
-    the chain from per-piece sums to the knot heights run on Python floats.
+    by the cost of each call: the height map and the chain from per-piece
+    sums to the knot heights run on Python floats.
     """
 
     def __init__(
@@ -190,12 +193,6 @@ class _Objective:
         self.rel_gap = _VISIBLE * MODE_TOL * (n_grid - 1) / shape.n_pieces
         levels = shape.levels
         self.knot_levels = shape.knot_levels
-        self.monotone = [  # (piece, +1 rising or -1 falling) for non-flat pieces
-            (k, 1 if p == "inc" else -1)
-            for k, p in enumerate(shape.pieces)
-            if p != "flat"
-        ]
-
         self.free = shape.free_levels  # the level of each height parameter
         # free levels start at OMEGA, below the first mode, so ``heights``
         # finds the tallest mode before it sets the antimodes
@@ -207,7 +204,10 @@ class _Objective:
         ]
         # free modes lie within exp(+-span) of 1 (span > 0 as rel_gap < 0.5); span
         # halves with two or more, so they stay within 1 / (2 rel_gap) of each other
+        # and, up to 2,046 pieces, rel_gap above OMEGA; a lone one needs its own cap
         self.span = math.log(0.5 / self.rel_gap) / min(2, max(1, len(self.modes)))
+        if len(self.modes) < 2:
+            self.span = min(self.span, -math.log(OMEGA + self.rel_gap))
         last = len(levels) - 1
         self.antimodes = [  # (parameter, level, left and right neighbor levels)
             (k, i, i - 1 if i > 0 else 1, i + 1 if i < last else last - 1)
@@ -283,15 +283,12 @@ class _Objective:
         return ll, (v, nrm, sinc, q, total, gamma, frac, k, sk, val, norm)
 
     def value_and_grad(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
-        """(-loglik, -d loglik / d theta); (inf, 0) off the feasible set."""
+        """(-loglik, -d loglik / d theta), finite as every height is positive."""
         j, pieces = self.j, self.n_pieces
         c = theta[:j]
         heights, dh_du, links = self.heights(theta[j:])
         heights = heights.tolist()
         kh = [heights[i] for i in self.knot_levels]
-        for k, d in self.monotone:
-            if (kh[k + 1] - kh[k]) * d <= 0.0:
-                return math.inf, np.zeros_like(theta)
         ll, (v, nrm, sinc, q, total, gamma, frac, k, sk, val, norm) = self._tape(c, kh)
 
         # reverse: per-piece sums of the template's adjoint give the knot
@@ -356,7 +353,7 @@ def _check_sample(x: np.ndarray, weights: np.ndarray | None) -> np.ndarray | Non
         raise DegenerateSampleError("samples must be finite (no NaN or inf)")
     if weights is None:
         return None
-    weights = np.asarray(weights, float)
+    weights = real_array(weights, DomainError, "weights")
     if weights.ndim != 1 or weights.size != x.size:
         raise DomainError(f"need 1-D weights, one weight per sample: {weights.shape}")
     if not np.all(np.isfinite(weights)) or np.any(weights < 0):
@@ -381,7 +378,7 @@ def log_likelihood(
     grid step scores too high.  With ``weights`` (summing to 1) the weighted
     form n * sum(w_i log p_i) is used.  Samples must lie in [0, 1].
     """
-    z = np.asarray(z, float)
+    z = real_array(z, DegenerateSampleError, "samples")
     weights = _check_sample(z, weights)
     if np.any((z < 0.0) | (z > 1.0)):
         raise DomainError("unit-interval samples must lie in [0, 1]")
@@ -487,20 +484,19 @@ def fit_fixed_j(
     """Best local optimum with the requested shape across BFGS runs.
 
     Each run is ``bfgs.minimize``, for at most ``MAXITER`` iterations, on
-    the analytic likelihood gradient; a start where the objective is not
-    finite ends at fun = inf and is dropped.  Start 0 is deterministic
-    (identity warp, midpoint-feasible heights); the rest draw from
-    per-restart streams seeded by ``cfg.seed``.  The runs share the CPUs
-    in this process's affinity mask (``_run_starts``: forked children,
-    one per CPU, write into one shared table with a row per start), and
-    the result depends neither on how many there are nor on a child that
-    fails: the caller runs the rows it left.  ``count_modes`` checks the
-    finite results once each, best objective first (ties to the earliest
-    restart), and the first with the requested modes is returned with c
-    folded into ||c|| <= pi/2 (``_fold``), and with the log-likelihood and
-    grid density at that c.
+    the analytic likelihood gradient; every height the search reaches is
+    positive, so every run ends at a finite value.  Start 0 is
+    deterministic (identity warp, midpoint-feasible heights); the rest
+    draw from per-restart streams seeded by ``cfg.seed``.  The runs share
+    the CPUs in this process's affinity mask (``_run_starts``: forked
+    children, one per CPU, write into one shared table with a row per
+    start), and the result depends neither on how many there are nor on
+    a child that fails: the caller runs the rows it left.  ``count_modes``
+    checks the results once each, best objective first (ties to the
+    earliest restart), and the first with the requested modes is returned
+    with c folded into ||c|| <= pi/2 (``_fold``), and with the
+    log-likelihood and grid density at that c.
     """
-    z = np.asarray(z, float)
     obj = _Objective(z, cfg.shape, j, weights)
 
     starts = [np.zeros(obj.n_params)]
@@ -509,13 +505,8 @@ def fit_fixed_j(
         starts.append(_random_start(obj, rng))
 
     rows = _run_starts(obj, starts)
-    funs = rows[:, 0]
-    ranked = [r for r in np.argsort(funs, kind="stable") if math.isfinite(funs[r])]
-    if not ranked:
-        raise OptimizationError(f"all {len(starts)} starts failed at J={j}")
-
     n_modes = cfg.shape.n_modes
-    for theta in rows[ranked, 1:]:
+    for theta in rows[np.argsort(rows[:, 0], kind="stable"), 1:]:
         c = _fold(theta[:j])
         heights = obj.heights(theta[j:])[0]
         ll, p = obj.forward(c, heights[obj.knot_levels])
@@ -536,7 +527,7 @@ def fit(
     and sum to 1.  A J at which no restart's grid density has the
     requested mode count drops out of the AIC comparison.
     """
-    x = np.asarray(x, float)
+    x = real_array(x, DegenerateSampleError, "samples")
     if x.size < 10:
         raise DegenerateSampleError(f"need at least 10 observations, got {x.size}")
     weights = _check_sample(x, weights)

@@ -18,7 +18,7 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from .errors import ConstraintError, ShapeError
+from .errors import ConstraintError, ShapeError, real_array
 from .geometry import DEFAULT_GRID_SIZE, WarpingGrid, unit_grid
 
 Piece = Literal["inc", "dec", "flat"]
@@ -62,6 +62,8 @@ class ShapeSpec:
             raise ShapeError(
                 f"free_boundaries must be a bool, got {self.free_boundaries!r}"
             )
+        if isinstance(self.pieces, str):
+            raise ShapeError("pieces must be a tuple such as ('inc', 'dec'), not a str")
         try:
             ps = tuple(self.pieces)
         except TypeError:
@@ -130,7 +132,7 @@ def level_heights(shape: ShapeSpec, lam: np.ndarray, omega: float) -> np.ndarray
     The first mode is 1, ``shape.free_levels`` take lam in order and
     the remaining levels (boundary antimodes) sit at omega.
     """
-    lam = np.atleast_1d(np.asarray(lam, float))
+    lam = np.atleast_1d(real_array(lam, ConstraintError, "height ratios"))
     free = shape.free_levels
     if lam.size != len(free):
         raise ConstraintError(

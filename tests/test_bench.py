@@ -236,8 +236,14 @@ class TestRunBenchmark:
             ({"seed": -1}, 60, "seed"),
             ({"replicates": 0}, 60, "replicates"),
             ({}, 0, "n must be >= 1"),
+            ({"replicates": 1.5}, 60, "replicates must be an integer"),
+            ({"seed": 1.5}, 60, "seed must be an integer"),
+            ({"replicates": True}, 60, "replicates must be an integer"),
+            ({}, True, "n must be an integer"),
+            ({}, 50.0, "n must be an integer"),
         ],
-        ids=["seed", "replicates", "n"],
+        ids=["seed", "replicates", "n", "float-replicates", "float-seed",
+             "bool-replicates", "bool-n", "float-n"],
     )
     def test_invalid_spec_rejected_before_any_replicate(
         self, monkeypatch, tmp_path, change, n, match

@@ -1,5 +1,6 @@
 """Tests for support estimation, likelihood, and the sieve MLE."""
 
+import itertools
 import math
 import os
 import signal
@@ -22,8 +23,10 @@ from warpdens import (
     OptimizationError,
     ShapeError,
     ShapeSpec,
+    adaptive_bandwidth,
     build_template,
     coeffs_to_warp,
+    compute_weights,
     count_modes,
     estimate_support,
     fit,
@@ -32,6 +35,7 @@ from warpdens import (
     fourier_basis,
     group_action,
     log_likelihood,
+    pilot_bandwidth,
     rescale_to_unit,
     template_density,
     unit_grid,
@@ -270,13 +274,57 @@ class TestConfigValidation:
         (lambda: ShapeSpec(None), ShapeError),
         (lambda: ShapeSpec(("inc", "dec"), free_boundaries="no"), ShapeError),
         (lambda: ShapeSpec(("inc", "dec"), free_boundaries=1), ShapeError),
+        (lambda: ShapeSpec("inc,dec"), ShapeError),
     ],
     ids=["tuple-shape", "float-modes", "str-modes", "bool-modes", "none-pieces",
-         "str-free-boundaries", "int-free-boundaries"],
+         "str-free-boundaries", "int-free-boundaries", "str-pieces"],
 )
 def test_malformed_shape_input_raises_typed_error(make, error):
     with pytest.raises(error):
         make()
+
+
+def test_string_pieces_name_the_tuple_form():
+    with pytest.raises(ShapeError, match=r"tuple such as \('inc', 'dec'\)"):
+        ShapeSpec("inc,dec")
+
+
+_XS = np.linspace(-1.0, 1.0, 20)
+_CFG1 = FitConfig(shape=ShapeSpec.modes(1), j_max=2, restarts=1)
+_CFG2 = FitConfig(shape=ShapeSpec.modes(2), j_max=2, restarts=1)
+_C2 = CoefficientVector(np.zeros(2))
+_CCFG = ConditionalFitConfig(base=_CFG1, x0=0.0)
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: fit(np.array(["a"] * 20), _CFG1), DegenerateSampleError),
+        (lambda: fit(_XS + 0.5j, _CFG1), DegenerateSampleError),
+        (lambda: fit(_XS, _CFG1, weights=["a"] * 20), DomainError),
+        (lambda: fit(_XS, _CFG1, weights=np.full(20, 0.05 + 0j)), DomainError),
+        (lambda: fit_conditional(_XS, ["a"] * 20, _CCFG), DegenerateSampleError),
+        (lambda: fit_conditional(_XS + 1j, _XS, _CCFG), DegenerateSampleError),
+        (lambda: log_likelihood(["a"], _C2, [], _CFG1), DegenerateSampleError),
+        (lambda: log_likelihood([0.2, 0.5], _C2, ["a", "b"], _CFG2), ConstraintError),
+        (lambda: log_likelihood([0.2, 0.5], _C2, [0.5, 0.5j], _CFG2), ConstraintError),
+        (lambda: estimate_support(["a", "b"]), DegenerateSampleError),
+        (lambda: pilot_bandwidth(["a"] * 20), DegenerateSampleError),
+        (lambda: adaptive_bandwidth(["a"] * 20, 0.0, 1.0), DomainError),
+        (lambda: compute_weights(_XS + 1j, 0.0, 1.0, 0.5), DomainError),
+        (lambda: rescale_to_unit(["a"], 0.0, 1.0), DomainError),
+        (lambda: fit(_XS, _CFG1).pdf(["a"]), DomainError),
+    ],
+    ids=["str-sample", "complex-sample", "str-weights", "complex-weights",
+         "str-responses", "complex-covariates", "str-unit-samples",
+         "str-heights", "complex-heights", "str-support", "str-pilot-bandwidth",
+         "str-adaptive-bandwidth", "complex-kernel-weights", "str-rescale", "str-pdf"],
+)
+def test_non_real_input_raises_typed_error(call, error):
+    # a string or a complex value is refused, not cast or let through as a
+    # raw ValueError; the imaginary part is never dropped in silence
+    with pytest.raises(error, match="must be real numbers"):
+        call()
 
 
 def _piece_sequences(longest):
@@ -347,33 +395,75 @@ def test_height_layout(shape):
 
 
 class TestObjective:
-    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
-    @given(
-        shape=st.sampled_from(GRADIENT_SHAPES + [ShapeSpec.modes(4)]),
-        u=st.lists(
-            st.one_of(
-                st.floats(-40.0, 40.0),
-                st.sampled_from([-50.0, -_U_CLIP, _U_CLIP, 50.0]),
-            ),
-            min_size=6,
-            max_size=6,
-        ),
-    )
-    def test_height_map_keeps_modes_visible(self, shape, u):
-        # every mode is free or the first one, and no free mode is more than
-        # 1 / (2 rel_gap) times another or the first one, so the unwarped
-        # template shows every mode and antimode
-        obj = _Objective(np.array([0.5]), shape, 2, None)
-        heights = obj.heights(np.array(u[: obj.n_params - 2]))[0]
-        modes = [i for i, lv in enumerate(shape.levels) if lv.role == "high"]
-        ratio = heights[modes].max() / heights[modes].min()
-        assert ratio <= (0.5 / obj.rel_gap) * (1.0 + 1e-12)
-        cfg = FitConfig(shape=shape)
-        lam = heights[obj.free]
-        assert np.all(lam > 0.0)
-        ll, dens = _kernel(np.array([0.5]), np.zeros(2), lam, cfg, None)
-        assert math.isfinite(ll)
-        assert count_modes(dens) == shape.n_modes
+    def test_height_map_keeps_modes_visible(self):
+        # every accepted shape of 1 to 9 pieces (nine is the most a shape with
+        # a single free mode can have) and a few long ones: at each corner of
+        # the height parameters (free modes at +-1e6, antimodes at -_U_CLIP, 0
+        # or _U_CLIP) and at random points, every non-flat piece moves its way
+        # by at least rel_gap times the tallest level, so the unwarped template
+        # shows every mode and antimode, boundary ones included, and no mode
+        # is more than 1 / (2 rel_gap) times another; at the random points,
+        # some of them on the corners, the objective is finite and count_modes
+        # sees the shape's modes on the unwarped template
+        rng = np.random.default_rng(0)
+        flats = ("inc", "flat", "dec", "flat", "inc", "dec", "flat", "inc", "dec")
+        shapes = [ShapeSpec.modes(50), ShapeSpec(flats)]
+        shapes.append(ShapeSpec(flats + ("flat",), free_boundaries=True))
+        for pieces in _piece_sequences(9):
+            for free in (False, True):
+                try:
+                    shapes.append(ShapeSpec(pieces, free_boundaries=free))
+                except ShapeError:
+                    pass
+        assert len(shapes) == 3 + 916
+        failed = []
+        for shape in shapes:
+            obj = _Objective(np.array([0.25, 0.5]), shape, 2, None)
+            n_free = len(obj.free)
+            mode_ks = [k for k, _ in obj.modes]
+            signs = (
+                itertools.product((-1e6, 1e6), repeat=len(mode_ks))
+                if len(mode_ks) <= 6
+                else rng.choice((-1e6, 1e6), (64, len(mode_ks)))
+            )
+            corners = []
+            for sign in signs:
+                for a in (-_U_CLIP, 0.0, _U_CLIP):
+                    u = np.full(n_free, a)
+                    u[mode_ks] = sign
+                    corners.append(u)
+            randoms = (
+                rng.uniform(-40.0, 40.0, n_free),
+                rng.choice((-1e6, -_U_CLIP, 0.0, _U_CLIP, 1e6), n_free),
+            )
+            modes = [i for i, lv in enumerate(shape.levels) if lv.role == "high"]
+            moves = [(k, 1.0 if p == "inc" else -1.0)
+                     for k, p in enumerate(shape.pieces) if p != "flat"]
+
+            def visible(u):
+                heights = obj.heights(u)[0]
+                kh = heights[shape.knot_levels]
+                gap = obj.rel_gap * heights.max() * (1.0 - 1e-9)
+                ratio = heights[modes].max() / heights[modes].min()
+                return (
+                    all((kh[k + 1] - kh[k]) * d >= gap for k, d in moves)
+                    and ratio <= (0.5 / obj.rel_gap) * (1.0 + 1e-12)
+                )
+
+            def finite_and_counted(u):
+                kh = obj.heights(u)[0][shape.knot_levels]
+                dens = GridDensity(obj.t, obj.forward(np.zeros(2), kh)[1])
+                return (
+                    math.isfinite(obj.value_and_grad(np.append([0.3, -0.2], u))[0])
+                    and count_modes(dens) == shape.n_modes
+                )
+
+            if not (
+                all(visible(u) for u in corners)
+                and all(visible(u) and finite_and_counted(u) for u in randoms)
+            ):
+                failed.append((shape.pieces, shape.free_boundaries))
+        assert failed == []
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(
