@@ -350,7 +350,7 @@ def run_benchmark(
     raises ``DomainError``.  ``workers`` is accepted and ignored: threads
     ran replicates about 3x slower, as the fit's small numpy calls
     contend for the interpreter lock, and each fit already runs its
-    starts on every CPU (``estimator.fit_fixed_j``).  A process pool of
+    searches on every CPU (``estimator._run_starts``).  A process pool of
     replicates stays out too: the benchmark harness captures each
     estimate by wrapping ``fit_conditional`` in its own process.
     """

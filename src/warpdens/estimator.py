@@ -74,6 +74,12 @@ class FitConfig:
                 raise ConstraintError(f"{name} must be an integer, got {value!r}")
         if not isinstance(self.shape, ShapeSpec):
             raise ConstraintError(f"shape must be a ShapeSpec, got {self.shape!r}")
+        if self.shape.n_pieces > DEFAULT_GRID_SIZE - 1:
+            raise ConstraintError(
+                f"a shape of {self.shape.n_pieces} pieces has pieces narrower than"
+                f" one step of the {DEFAULT_GRID_SIZE}-point grid; at most"
+                f" {DEFAULT_GRID_SIZE - 1} fit"
+            )
         if self.j_max < J_STEP or min_grid_size(self.j_max) > DEFAULT_GRID_SIZE:
             raise ConstraintError(f"need {J_STEP} <= j_max <= {DEFAULT_GRID_SIZE - 2}")
         if self.restarts < 1:
@@ -167,9 +173,9 @@ class _Objective:
     antimode is sigmoid(u) * (cap - gap): cap is the lower neighboring
     mode, and gap is rel_gap times the tallest mode, _VISIBLE times the
     least rise over one piece that ``count_modes`` resolves.  The mode
-    bound keeps every cap at or above 2 gap and, up to 2,046 pieces, every
-    mode gap above the boundary antimodes at ``OMEGA``: each u gives a
-    visible template.
+    bound keeps every cap at or above 2 gap and, up to 2,046 pieces (more
+    than ``FitConfig`` accepts), every mode gap above the boundary
+    antimodes at ``OMEGA``: each u gives a visible template.
 
     One evaluation is a few dozen numpy calls on grid-sized arrays, bound
     by the cost of each call: the height map and the chain from per-piece
@@ -422,8 +428,8 @@ def _random_start(obj: _Objective, rng: np.random.Generator) -> np.ndarray:
 
 
 def _shares() -> int:
-    """How many processes run a J's starts: one per CPU in this process's
-    affinity mask.  One, with no fork, where ``os.fork`` or
+    """How many processes run a fit's searches: one per CPU in this
+    process's affinity mask.  One, with no fork, where ``os.fork`` or
     ``os.sched_getaffinity`` is missing, or while another Python thread
     runs: that thread may hold a lock that the child would wait on forever.
     """
@@ -434,78 +440,106 @@ def _shares() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _run_starts(obj: _Objective, starts: list) -> np.ndarray:
-    """Row r holds start r's search: its fun, then its end point.
+def _run_starts(searches: list) -> np.ndarray:
+    """Row i holds search i's fun, then its end point, zero-padded to the
+    widest search; ``searches`` holds (objective, start) pairs.
 
-    The rows live in one float64 table, shared with the children through
-    an anonymous mapping made before the fork.  Start r runs in share
-    r mod S, S = min(len(starts), ``_shares()``); a forked child runs each
-    share but share 0, which the caller runs.  A search writes its end
-    point, then its fun, so a row whose fun is still NaN did not finish:
-    once every child is reaped, the caller runs those rows itself.  A
-    search is the same computation in any process, so the rows depend
-    neither on S nor on a child that raised or was killed, and an error
-    that a search raises everywhere reaches the caller from its own run.
+    The rows live in one float64 table and the claims in one byte per
+    row, both in anonymous mappings made before the fork, so the caller
+    and S - 1 forked children share them, S = min(len(searches),
+    ``_shares()``).  Process s runs search s, then claims the first
+    unclaimed row until none is left, so no process waits while another
+    has searches to run.  Two processes that claim one row at once both
+    run it and write the same bytes.  A search writes its end point, then
+    its fun, so a row whose fun is still NaN did not finish: once every
+    child is reaped, the caller runs those rows itself.  A search is the
+    same computation in any process, so the rows depend neither on S, nor
+    on which process ran which search, nor on a child that raised or was
+    killed, and an error that a search raises everywhere reaches the
+    caller from its own run.  If the caller raises, the children are
+    killed before they are reaped, so the error does not wait for their
+    searches.
     """
-    n, shares = len(starts), min(len(starts), _shares())
-    table = np.frombuffer(mmap.mmap(-1, 8 * n * (1 + obj.n_params))).reshape(n, -1)
+    n, shares = len(searches), min(len(searches), _shares())
+    width = 1 + max(obj.n_params for obj, _ in searches)
+    table = np.frombuffer(mmap.mmap(-1, 8 * n * width)).reshape(n, width)
     table[:, 0] = np.nan
+    claims = mmap.mmap(-1, n)
+    claims[:shares] = b"\1" * shares  # process s runs search s first
 
-    def search(rows):
-        for r in rows:
-            res = minimize(obj.value_and_grad, starts[r], options={"maxiter": MAXITER})
-            table[r, 1:] = res.x
-            table[r, 0] = res.fun
+    def search(r):
+        obj, start = searches[r]
+        res = minimize(obj.value_and_grad, start, options={"maxiter": MAXITER})
+        table[r, 1 : 1 + obj.n_params] = res.x
+        table[r, 0] = res.fun
+
+    def work(first):
+        search(first)
+        while (r := claims.find(b"\0", 0)) >= 0:
+            claims[r] = 1
+            search(r)
 
     children = []
     try:
-        for share in range(1, shares):
+        for s in range(1, shares):
             pid = os.fork()
-            if pid == 0:  # the child: run the share, then exit
+            if pid == 0:  # the child: run searches until none is left, then exit
                 try:
-                    search(range(share, n, shares))
+                    work(s)
                 finally:
                     os._exit(0)
             children.append(pid)
-        search(range(0, n, shares))
+        work(0)
+    except BaseException:
+        import signal  # only on this path, so that importing warpdens does not load it
+
+        for pid in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
     finally:
         for pid in children:
             os.waitpid(pid, 0)
-    search(np.flatnonzero(np.isnan(table[:, 0])))
+    for r in np.flatnonzero(np.isnan(table[:, 0])):
+        search(r)
     return table.copy()
 
 
-def fit_fixed_j(
+def _search(
     z: np.ndarray,
-    j: int,
+    js: list[int],
     cfg: FitConfig,
-    weights: np.ndarray | None = None,
-) -> tuple[CoefficientVector, np.ndarray, float, GridDensity]:
-    """Best local optimum with the requested shape across BFGS runs.
+    weights: np.ndarray | None,
+) -> list[tuple[_Objective, np.ndarray]]:
+    """Per J of the ascending ``js``: its objective, and its starts' rows
+    (fun, end point) in start order.
 
-    Each run is ``bfgs.minimize``, for at most ``MAXITER`` iterations, on
-    the analytic likelihood gradient; every height the search reaches is
-    positive, so every run ends at a finite value.  Start 0 is
-    deterministic (identity warp, midpoint-feasible heights); the rest
-    draw from per-restart streams seeded by ``cfg.seed``.  The runs share
-    the CPUs in this process's affinity mask (``_run_starts``: forked
-    children, one per CPU, write into one shared table with a row per
-    start), and the result depends neither on how many there are nor on
-    a child that fails: the caller runs the rows it left.  ``count_modes``
-    checks the results once each, best objective first (ties to the
-    earliest restart), and the first with the requested modes is returned
-    with c folded into ||c|| <= pi/2 (``_fold``), and with the
+    Start 0 is deterministic (identity warp, midpoint-feasible heights);
+    start r >= 1 draws from the stream seeded by (``cfg.seed``, r).  Every
+    J's starts go to one ``_run_starts`` call, largest J first, as those
+    searches take longest.
+    """
+    objs = [_Objective(z, cfg.shape, j, weights) for j in js]
+    searches = [
+        (obj, _random_start(obj, np.random.default_rng([cfg.seed, r]))
+         if r else np.zeros(obj.n_params))
+        for obj in reversed(objs)
+        for r in range(cfg.restarts + 1)
+    ]
+    blocks = _run_starts(searches).reshape(len(objs), cfg.restarts + 1, -1)[::-1]
+    return [(obj, rows[:, : 1 + obj.n_params]) for obj, rows in zip(objs, blocks)]
+
+
+def _select(
+    obj: _Objective, rows: np.ndarray, n_modes: int
+) -> tuple[CoefficientVector, np.ndarray, float, GridDensity]:
+    """The best of one J's searches whose grid density has ``n_modes`` modes.
+
+    ``count_modes`` checks the rows once each, best objective first (ties
+    to the earliest start), and the first with the requested modes is
+    returned with c folded into ||c|| <= pi/2 (``_fold``), and with the
     log-likelihood and grid density at that c.
     """
-    obj = _Objective(z, cfg.shape, j, weights)
-
-    starts = [np.zeros(obj.n_params)]
-    for r in range(1, cfg.restarts + 1):
-        rng = np.random.default_rng([cfg.seed, r])
-        starts.append(_random_start(obj, rng))
-
-    rows = _run_starts(obj, starts)
-    n_modes = cfg.shape.n_modes
+    j = obj.j
     for theta in rows[np.argsort(rows[:, 0], kind="stable"), 1:]:
         c = _fold(theta[:j])
         heights = obj.heights(theta[j:])[0]
@@ -516,6 +550,27 @@ def fit_fixed_j(
     raise OptimizationError(f"J={j}: no restart's grid density has {n_modes} modes")
 
 
+def fit_fixed_j(
+    z: np.ndarray,
+    j: int,
+    cfg: FitConfig,
+    weights: np.ndarray | None = None,
+) -> tuple[CoefficientVector, np.ndarray, float, GridDensity]:
+    """Best local optimum with the requested shape across BFGS runs at one
+    J: the one-J case of ``fit``'s sweep.
+
+    Each run is ``bfgs.minimize``, for at most ``MAXITER`` iterations, on
+    the analytic likelihood gradient, from one of the ``restarts + 1``
+    starts that ``_search`` makes; every height the search reaches is
+    positive, so every run ends at a finite value.  The runs share the
+    CPUs in this process's affinity mask (``_run_starts``), and the result
+    depends neither on how many there are nor on a child that fails.
+    ``_select`` picks the winner.
+    """
+    [(obj, rows)] = _search(z, [j], cfg, weights)
+    return _select(obj, rows, cfg.shape.n_modes)
+
+
 def fit(
     x: np.ndarray,
     cfg: FitConfig,
@@ -523,6 +578,8 @@ def fit(
 ) -> DensityEstimate:
     """Full fit: support, rescaling, J sweep, AIC selection.
 
+    Every J's searches run in one ``_run_starts`` call, so a fit forks
+    once; each J's winner is then picked as ``fit_fixed_j`` picks it.
     ``weights``, if given, hold one finite, non-negative weight per sample
     and sum to 1.  A J at which no restart's grid density has the
     requested mode count drops out of the AIC comparison.
@@ -535,9 +592,10 @@ def fit(
     z = rescale_to_unit(x, *support)
 
     best = None
-    for j in cfg.j_values():
+    for obj, rows in _search(z, cfg.j_values(), cfg, weights):
+        j = obj.j
         try:
-            c, lam, ll, dens = fit_fixed_j(z, j, cfg, weights=weights)
+            c, lam, ll, dens = _select(obj, rows, cfg.shape.n_modes)
         except OptimizationError:
             continue  # no candidate with the requested shape at this J
         k = j + lam.size

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InvalidSrsfError, InvalidWarpError
+from .errors import DomainError, InvalidSrsfError, InvalidWarpError, real_array
 
 DEFAULT_GRID_SIZE = 1024
 
@@ -101,7 +101,8 @@ class CoefficientVector:
     c: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "c", np.atleast_1d(np.asarray(self.c, float)))
+        c = real_array(self.c, DomainError, "coefficients")
+        object.__setattr__(self, "c", np.atleast_1d(c))
 
     @property
     def j(self) -> int:

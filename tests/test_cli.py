@@ -88,6 +88,14 @@ class TestFitCommand:
         assert code == 4
         assert "unknown piece kind 'up'" in capsys.readouterr().err
 
+    def test_more_pieces_than_grid_steps_exit_4(self, sample_csv, tmp_path, capsys):
+        # modes(512) has 1024 pieces, one more than the 1024-point grid has steps
+        out = tmp_path / "x.json"
+        code = main(["fit", str(sample_csv), "-o", str(out), "--modes", "512"])
+        assert code == 4
+        assert "1024 pieces" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_shape_flags(self, sample_csv, tmp_path):
         code = main(["fit", str(sample_csv), "-o", str(tmp_path / "x.json")])
         assert code == 64

@@ -2,9 +2,11 @@
 
 import itertools
 import math
+import mmap
 import os
 import signal
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -55,13 +57,17 @@ def binned_loglik(z, log_p):
 
 
 def record_searches(monkeypatch):
-    """Record (fun, start index, end point) of every search the fit runs,
-    from the rows ``_run_starts`` hands back from every share."""
+    """Record (fun, search index, end point) of every search the fit runs,
+    from the rows of the one ``_run_starts`` call: largest J first, each
+    J's starts in start order, so with one J the index is the start's."""
     real_run_starts, runs = estimator._run_starts, []
 
-    def recording_run_starts(*args, **kwargs):
-        rows = real_run_starts(*args, **kwargs)
-        runs.extend((row[0], r, row[1:].copy()) for r, row in enumerate(rows))
+    def recording_run_starts(searches):
+        rows = real_run_starts(searches)
+        runs.extend(
+            (row[0], r, row[1 : 1 + len(start)].copy())
+            for r, (row, (_, start)) in enumerate(zip(rows, searches))
+        )
         return rows
 
     monkeypatch.setattr(estimator, "_run_starts", recording_run_starts)
@@ -242,6 +248,20 @@ class TestConfigValidation:
         with pytest.raises(ConstraintError):
             FitConfig(shape=ShapeSpec.modes(1), **change)
 
+    @pytest.mark.parametrize(
+        "pieces, accepted",
+        [(("inc", "dec") * 511 + ("inc",), True), (("inc", "dec") * 512, False)],
+        ids=["1023-pieces", "1024-pieces"],
+    )
+    def test_shape_of_more_pieces_than_grid_steps_rejected(self, pieces, accepted):
+        # past 1023 pieces, a piece is narrower than one step of the grid
+        shape = ShapeSpec(pieces)
+        if accepted:
+            assert FitConfig(shape=shape).shape.n_pieces == 1023
+        else:
+            with pytest.raises(ConstraintError, match="1024 pieces"):
+                FitConfig(shape=shape)
+
     def test_coarsest_grid_for_the_basis_accepted(self):
         # the 1024-point grid is the coarsest that resolves 1022 functions
         cfg = FitConfig(shape=ShapeSpec.modes(1), j_max=1022)
@@ -308,6 +328,8 @@ _CCFG = ConditionalFitConfig(base=_CFG1, x0=0.0)
         (lambda: log_likelihood(["a"], _C2, [], _CFG1), DegenerateSampleError),
         (lambda: log_likelihood([0.2, 0.5], _C2, ["a", "b"], _CFG2), ConstraintError),
         (lambda: log_likelihood([0.2, 0.5], _C2, [0.5, 0.5j], _CFG2), ConstraintError),
+        (lambda: CoefficientVector([0.3 + 2j, 0.0]), DomainError),
+        (lambda: CoefficientVector(["a", "b"]), DomainError),
         (lambda: estimate_support(["a", "b"]), DegenerateSampleError),
         (lambda: pilot_bandwidth(["a"] * 20), DegenerateSampleError),
         (lambda: adaptive_bandwidth(["a"] * 20, 0.0, 1.0), DomainError),
@@ -317,7 +339,8 @@ _CCFG = ConditionalFitConfig(base=_CFG1, x0=0.0)
     ],
     ids=["str-sample", "complex-sample", "str-weights", "complex-weights",
          "str-responses", "complex-covariates", "str-unit-samples",
-         "str-heights", "complex-heights", "str-support", "str-pilot-bandwidth",
+         "str-heights", "complex-heights", "complex-coefficients",
+         "str-coefficients", "str-support", "str-pilot-bandwidth",
          "str-adaptive-bandwidth", "complex-kernel-weights", "str-rescale", "str-pdf"],
 )
 def test_non_real_input_raises_typed_error(call, error):
@@ -804,7 +827,8 @@ def assert_no_child_left():
 
 
 class TestShares:
-    """A J's starts run in forked children, one share per CPU."""
+    """A fit's searches, every J's at once, run in the caller and in forked
+    children, one process per CPU, each claiming the next search."""
 
     CFG = FitConfig(shape=ShapeSpec.modes(2), j_max=4, restarts=4, seed=3)
 
@@ -827,7 +851,7 @@ class TestShares:
         return _estimate_bytes(est), [np.hstack([fun, x]).tobytes() for fun, _, x in runs]
 
     def fail_in(self, monkeypatch, where, fail):
-        """Two shares, and ``fail()`` runs before every search in the
+        """Two processes, and ``fail()`` runs before every search in the
         caller, in the child, or in both."""
         monkeypatch.setattr(estimator, "_shares", lambda: 2)
         caller, real_minimize = os.getpid(), estimator.minimize
@@ -839,7 +863,11 @@ class TestShares:
 
         monkeypatch.setattr(estimator, "minimize", failing_minimize)
 
-    @pytest.mark.parametrize("shares", [None, 3], ids=["machine", "three"])
+    # 2 J values x 5 starts: 10 searches, so 11 shares is more than a fit runs
+    @pytest.mark.parametrize(
+        "shares", [None, 2, 3, 11],
+        ids=["machine", "two", "three", "more-than-searches"],
+    )
     def test_estimates_do_not_depend_on_the_share_count(self, monkeypatch, shares):
         if shares is not None:
             monkeypatch.setattr(estimator, "_shares", lambda: shares)
@@ -850,21 +878,45 @@ class TestShares:
         for a, b in zip(many, one):
             assert _estimate_bytes(a) == _estimate_bytes(b)
 
-    def test_runs_come_back_in_start_order(self, monkeypatch):
-        # row r is start r's search, as the caller alone would run it, with
-        # one process per start: more processes than most hosts have cores
-        monkeypatch.setattr(estimator, "_shares", lambda: self.CFG.restarts + 1)
-        x = _bimodal_sample()
-        obj = _Objective(rescale_to_unit(x, *estimate_support(x)), self.CFG.shape, 2, None)
-        rng = np.random.default_rng(0)
-        starts = [_random_start(obj, rng) for _ in range(self.CFG.restarts + 1)]
-        rows = estimator._run_starts(obj, starts)
+    @pytest.mark.parametrize("shares", [1, 2, 3])
+    def test_one_fork_per_fit(self, monkeypatch, shares):
+        # S - 1 children for the whole J sweep, not S - 1 per J
+        monkeypatch.setattr(estimator, "_shares", lambda: shares)
+        real_fork, forks = os.fork, []
+
+        def counting_fork():
+            forks.append(os.getpid())
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", counting_fork)
+        assert len(self.CFG.j_values()) == 2  # one fork per J would double the count
+        self.fits()  # a fit and a conditional fit
+        assert len(forks) == 2 * (shares - 1)
         assert_no_child_left()
-        for row, start in zip(rows, starts):
+
+    def test_runs_come_back_in_start_order(self, monkeypatch):
+        # row i is search i's, as the caller alone would run it, padded
+        # with zeros past a smaller J's end point, with one process per
+        # search: more processes than most hosts have cores
+        x = _bimodal_sample()
+        z = rescale_to_unit(x, *estimate_support(x))
+        rng = np.random.default_rng(0)
+        searches = [
+            (obj, _random_start(obj, rng))
+            for obj in (_Objective(z, self.CFG.shape, j, None) for j in (4, 2))
+            for _ in range(3)
+        ]
+        monkeypatch.setattr(estimator, "_shares", lambda: len(searches))
+        rows = estimator._run_starts(searches)
+        assert_no_child_left()
+        assert rows.shape == (6, 1 + searches[0][0].n_params)
+        for row, (obj, start) in zip(rows, searches):
             res = estimator.minimize(
                 obj.value_and_grad, start, options={"maxiter": estimator.MAXITER}
             )
-            assert row[0] == res.fun and np.array_equal(row[1:], res.x)
+            end = row[1 : 1 + obj.n_params]
+            assert row[0] == res.fun and np.array_equal(end, res.x)
+            assert not row[1 + obj.n_params :].any()
 
     @pytest.mark.parametrize("where", ["caller", "everywhere"])
     def test_error_in_a_share_reaches_the_caller(self, monkeypatch, where):
@@ -893,11 +945,13 @@ class TestShares:
         assert_no_child_left()
 
     def test_child_killed_mid_share_leaves_the_estimate(self, monkeypatch):
-        # the child finishes its share's first search, then dies while it
-        # writes the second one's row; the caller runs that row again
+        # the child finishes its first search, claims a second and dies
+        # while it writes that row; the caller, held in its first search
+        # until then, runs that row again once the child is reaped
         expected = self.one_share_fit(monkeypatch)
         monkeypatch.setattr(estimator, "_shares", lambda: 2)
         caller, real_minimize, searches = os.getpid(), estimator.minimize, []
+        dying = mmap.mmap(-1, 1)  # set by the child just before it dies
 
         class DiesOnReadingItsEndPoint:
             def __init__(self, fun):
@@ -905,18 +959,39 @@ class TestShares:
 
             @property
             def x(self):
+                dying[0] = 1
                 os.kill(os.getpid(), signal.SIGKILL)
 
         def minimize_then_die(*args, **kwargs):
             res = real_minimize(*args, **kwargs)
-            if os.getpid() != caller:
-                searches.append(res)
-                if len(searches) == 2:
-                    return DiesOnReadingItsEndPoint(res.fun)
+            searches.append(res)
+            if os.getpid() != caller and len(searches) == 2:
+                return DiesOnReadingItsEndPoint(res.fun)
+            deadline = time.monotonic() + 60.0
+            while (os.getpid() == caller and not dying[0]
+                   and time.monotonic() < deadline):
+                time.sleep(0.01)
             return res
 
         monkeypatch.setattr(estimator, "minimize", minimize_then_die)
         assert self.fit_bytes(monkeypatch) == expected
+        assert dying[0] == 1
+        assert_no_child_left()
+
+    def test_error_in_the_caller_stops_the_children(self, monkeypatch):
+        # the child's searches would take 30 s each; the caller's error
+        # kills it instead of waiting for the rest of the sweep
+        def fail():
+            if os.getpid() == caller:
+                raise DomainError("raised in the caller")
+            time.sleep(30.0)
+
+        caller = os.getpid()
+        self.fail_in(monkeypatch, "everywhere", fail)
+        start = time.monotonic()
+        with pytest.raises(DomainError, match="raised in the caller"):
+            fit(_bimodal_sample(), self.CFG)
+        assert time.monotonic() - start < 10.0
         assert_no_child_left()
 
     def test_fit_in_a_second_thread_runs_one_share(self, monkeypatch):
@@ -997,14 +1072,14 @@ class TestFit:
         assert est.j in cfg.j_values()
 
     def test_j_without_candidate_drops_out(self, monkeypatch):
-        real = estimator.fit_fixed_j
+        real = estimator._select
 
-        def fail_at_2(z, j, cfg, weights=None):
-            if j == 2:
+        def fail_at_2(obj, rows, n_modes):
+            if obj.j == 2:
                 raise OptimizationError("no candidate")
-            return real(z, j, cfg, weights)
+            return real(obj, rows, n_modes)
 
-        monkeypatch.setattr(estimator, "fit_fixed_j", fail_at_2)
+        monkeypatch.setattr(estimator, "_select", fail_at_2)
         z = np.sort(np.random.default_rng(8).beta(2, 2, 150))
         cfg = FitConfig(shape=ShapeSpec.modes(1), restarts=1, j_max=4)
         assert fit(z, cfg).j == 4
