@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 import os
 import tempfile
 import time
@@ -23,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conditional import ConditionalFitConfig, fit_conditional
-from .errors import DomainError, WarpdensError
+from .errors import DomainError, WarpdensError, integer
 from .estimator import DensityEstimate, FitConfig, fit
 from .templates import ShapeSpec
 
@@ -354,12 +353,9 @@ def run_benchmark(
     replicates stays out too: the benchmark harness captures each
     estimate by wrapping ``fit_conditional`` in its own process.
     """
-    for name, value, least in (("n", n, 1), ("seed", spec.seed, 0),
-                               ("replicates", spec.replicates, 1)):
-        if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-            raise DomainError(f"{name} must be an integer, got {value!r}")
-        if value < least:
-            raise DomainError(f"{name} must be >= {least}, got {value}")
+    integer(n, DomainError, "n", 1)
+    integer(spec.seed, DomainError, "seed", 0)
+    integer(spec.replicates, DomainError, "replicates", 1)
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)  # fail before any replicate runs
     ok: list[ReplicateRecord] = []

@@ -25,6 +25,7 @@ from .errors import (
     DomainError,
     OptimizationError,
     WarpdensError,
+    sample,
 )
 from .estimator import DensityEstimate, FitConfig, fit
 from .geometry import unit_grid
@@ -159,8 +160,8 @@ def cmd_fit(args) -> int:
 def cmd_cfit(args) -> int:
     shape = _parse_shape(args)
     data = _read_csv_columns(args.input, 2)
-    if not np.all(np.isfinite(data)):  # before x0 is checked against the range
-        raise DegenerateSampleError("covariates and responses must be finite")
+    # finite before x0 is checked against the range
+    sample(data.ravel(), DegenerateSampleError, "covariates and responses", 0)
     x, y = data[:, 0], data[:, 1]
     x0 = args.x0 if args.x0 is not None else float(np.median(x))
     if not (np.min(x) <= x0 <= np.max(x)):

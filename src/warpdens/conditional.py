@@ -9,12 +9,12 @@ by the inverse square root of the pilot KDE at the location).
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConstraintError, DegenerateSampleError, DomainError, real_array
+from .errors import ConstraintError, DegenerateSampleError, DomainError
+from .errors import number, sample, spread
 from . import estimator
 from .estimator import DensityEstimate, FitConfig
 
@@ -30,36 +30,23 @@ class ConditionalFitConfig:
     def __post_init__(self):
         if not isinstance(self.base, FitConfig):
             raise ConstraintError(f"base must be a FitConfig, got {self.base!r}")
-        for name in ("x0", "neighbor_fraction"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Real) or isinstance(value, bool):
-                raise DomainError(f"{name} must be a real number, got {value!r}")
-        if not 0.0 < self.neighbor_fraction <= 1.0:
-            raise DomainError("neighbor_fraction must be in (0, 1]")
-        if not math.isfinite(self.x0):
-            raise DomainError("x0 must be finite")
+        number(self.x0, DomainError, "x0")
+        number(self.neighbor_fraction, DomainError, "neighbor_fraction", 0.0, 1.0)
 
 
 def pilot_bandwidth(x: np.ndarray) -> float:
     """Normal-reference bandwidth 1.06 sd(x) n^(-1/5)."""
-    x = real_array(x, DegenerateSampleError, "covariates")
-    n = x.size
-    if n < 10:
-        raise DegenerateSampleError("need at least 10 covariates")
-    sd = float(np.std(x, ddof=1))
-    if sd <= 0:
-        raise DegenerateSampleError("covariates have zero spread")
-    return 1.06 * sd * n ** (-0.2)
-
-
-def _gaussian_kde_at(x: np.ndarray, x0: float, h: float) -> float:
-    u = (x0 - x) / h
-    return float(np.mean(np.exp(-0.5 * u * u) / _SQRT_2PI) / h)
+    x = sample(x, DegenerateSampleError, "covariates", 10)
+    return 1.06 * spread(x, DegenerateSampleError, "covariates") * x.size ** (-0.2)
 
 
 def adaptive_bandwidth(x: np.ndarray, x0: float, h: float) -> float:
     """Location bandwidth h / sqrt(pilot KDE at x0)."""
-    k = _gaussian_kde_at(real_array(x, DomainError, "covariates"), x0, h)
+    x = sample(x, DomainError, "covariates", 1)
+    x0, h = number(x0, DomainError, "x0"), number(h, DomainError, "bandwidth h", 0.0)
+    with np.errstate(over="ignore"):  # a u beyond the float range has kernel 0
+        u = (x0 - x) / h
+        k = float(np.mean(np.exp(-0.5 * u * u) / _SQRT_2PI) / h)
     if k < 1e-12:
         raise DomainError(f"location {x0} lies outside the covariate support")
     return h / math.sqrt(k)
@@ -71,18 +58,16 @@ def compute_weights(x: np.ndarray, x0: float, h_x0: float, frac: float) -> np.nd
     All other observations get exactly zero weight.  Distance ties break
     by covariate index.
     """
-    if not 0.0 < frac <= 1.0:
-        raise DomainError(f"frac must be in (0, 1], got {frac!r}")
-    if not (math.isfinite(h_x0) and h_x0 > 0.0):
-        raise DomainError(f"bandwidth h_x0 must be finite and positive, got {h_x0!r}")
-    x = real_array(x, DomainError, "covariates")
-    n = x.size
-    m = math.ceil(frac * n)
-    dist = np.abs(x - x0)
-    keep = np.argsort(dist, kind="stable")[:m]
-    w = np.zeros(n)
-    u = dist[keep] / h_x0
-    kern = np.exp(-0.5 * u * u) / _SQRT_2PI
+    x = sample(x, DomainError, "covariates", 1)
+    x0, frac = number(x0, DomainError, "x0"), number(frac, DomainError, "frac", 0.0, 1.0)
+    h_x0 = number(h_x0, DomainError, "bandwidth h_x0", 0.0)
+    m = math.ceil(frac * x.size)
+    with np.errstate(over="ignore"):  # a distance beyond the float range: kernel 0
+        dist = np.abs(x - x0)
+        keep = np.argsort(dist, kind="stable")[:m]
+        u = dist[keep] / h_x0
+        kern = np.exp(-0.5 * u * u) / _SQRT_2PI
+    w = np.zeros(x.size)
     kern = np.maximum(kern, 1e-300)  # retained points keep strictly positive weight
     w[keep] = kern / kern.sum()
     return w
@@ -92,16 +77,10 @@ def fit_conditional(
     x: np.ndarray, y: np.ndarray, cfg: ConditionalFitConfig
 ) -> DensityEstimate:
     """Weighted-likelihood density fit for the responses near cfg.x0."""
-    x = real_array(x, DegenerateSampleError, "covariates")
-    y = real_array(y, DegenerateSampleError, "responses")
-    if x.ndim != 1 or y.ndim != 1:
-        raise DegenerateSampleError(f"need 1-D x and y, got {x.shape} and {y.shape}")
+    x = sample(x, DegenerateSampleError, "covariates", 20)
+    y = sample(y, DegenerateSampleError, "responses", 20)
     if x.size != y.size:
         raise DegenerateSampleError("covariates and responses differ in length")
-    if x.size < 20:
-        raise DegenerateSampleError(f"need at least 20 pairs, got {x.size}")
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-        raise DegenerateSampleError("covariates and responses must be finite")
 
     h_x0 = adaptive_bandwidth(x, cfg.x0, pilot_bandwidth(x))
     w_all = compute_weights(x, cfg.x0, h_x0, cfg.neighbor_fraction)

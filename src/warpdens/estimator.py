@@ -14,20 +14,14 @@ from __future__ import annotations
 
 import math
 import mmap
-import numbers
 import os
 import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ConstraintError,
-    DegenerateSampleError,
-    DomainError,
-    OptimizationError,
-    real_array,
-)
+from .errors import ConstraintError, DegenerateSampleError, DomainError
+from .errors import OptimizationError, integer, interval, real_array, sample, spread
 from .geometry import (
     DEFAULT_GRID_SIZE,
     _THETA_FLOOR,
@@ -65,13 +59,12 @@ class FitConfig:
     j_max: int = 10
     restarts: int = 16
     seed: int = 0
-    support: tuple[float, float] | None = None  # None => estimate from data
+    support: tuple[float, float] | None = None  # two floats; None => from the data
 
     def __post_init__(self):
-        for name in ("j_max", "restarts", "seed"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-                raise ConstraintError(f"{name} must be an integer, got {value!r}")
+        integer(self.j_max, ConstraintError, "j_max", J_STEP)
+        integer(self.restarts, ConstraintError, "restarts", 1)
+        integer(self.seed, ConstraintError, "seed", 0)
         if not isinstance(self.shape, ShapeSpec):
             raise ConstraintError(f"shape must be a ShapeSpec, got {self.shape!r}")
         if self.shape.n_pieces > DEFAULT_GRID_SIZE - 1:
@@ -80,20 +73,10 @@ class FitConfig:
                 f" one step of the {DEFAULT_GRID_SIZE}-point grid; at most"
                 f" {DEFAULT_GRID_SIZE - 1} fit"
             )
-        if self.j_max < J_STEP or min_grid_size(self.j_max) > DEFAULT_GRID_SIZE:
+        if min_grid_size(self.j_max) > DEFAULT_GRID_SIZE:
             raise ConstraintError(f"need {J_STEP} <= j_max <= {DEFAULT_GRID_SIZE - 2}")
-        if self.restarts < 1:
-            raise ConstraintError("restarts must be >= 1")
-        if self.seed < 0:
-            raise ConstraintError("seed must be >= 0")
-        s = self.support
-        if s is not None and not (
-            (isinstance(s, (tuple, list)) or isinstance(s, np.ndarray) and s.ndim == 1)
-            and len(s) == 2
-            and all(isinstance(v, numbers.Real) and math.isfinite(v) for v in s)
-            and s[0] < s[1]
-        ):
-            raise ConstraintError("support must be None or two finite values A < B")
+        if self.support is not None:
+            object.__setattr__(self, "support", interval(self.support, ConstraintError))
 
     def j_values(self) -> list[int]:
         return list(range(J_STEP, self.j_max + 1, J_STEP))
@@ -128,21 +111,14 @@ class DensityEstimate:
 
 def estimate_support(x: np.ndarray) -> tuple[float, float]:
     """Data-driven effective support: min/max widened by sd/sqrt(n)."""
-    x = real_array(x, DegenerateSampleError, "samples")
-    n = x.size
-    if n < 2:
-        raise DegenerateSampleError("need at least 2 observations")
-    sd = float(np.std(x, ddof=1))
-    if sd <= 0:
-        raise DegenerateSampleError("sample has zero spread")
-    pad = sd / math.sqrt(n)
+    x = sample(x, DegenerateSampleError, "samples", 2)
+    pad = spread(x, DegenerateSampleError, "samples") / math.sqrt(x.size)
     return float(np.min(x) - pad), float(np.max(x) + pad)
 
 
 def rescale_to_unit(x: np.ndarray, a: float, b: float) -> np.ndarray:
-    if not a < b:
-        raise DomainError("support must satisfy A < B")
-    x = real_array(x, DomainError, "observations")
+    a, b = interval((a, b), DomainError)
+    x = sample(x, DomainError, "observations", 0)
     if np.any(x < a) or np.any(x > b):
         raise DomainError("observations outside the support")
     return (x - a) / (b - a)
@@ -351,22 +327,16 @@ def _kernel(
     return ll, GridDensity(obj.t, p)
 
 
-def _check_sample(x: np.ndarray, weights: np.ndarray | None) -> np.ndarray | None:
-    """Input checks shared by ``fit`` and ``log_likelihood``; returns the weights."""
-    if x.ndim != 1:
-        raise DegenerateSampleError(f"need a 1-D sample, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise DegenerateSampleError("samples must be finite (no NaN or inf)")
-    if weights is None:
-        return None
-    weights = real_array(weights, DomainError, "weights")
-    if weights.ndim != 1 or weights.size != x.size:
-        raise DomainError(f"need 1-D weights, one weight per sample: {weights.shape}")
-    if not np.all(np.isfinite(weights)) or np.any(weights < 0):
-        raise DomainError("weights must be finite and non-negative")
-    if abs(float(weights.sum()) - 1.0) > 1e-9:
-        raise DomainError(f"weights must sum to 1, got {float(weights.sum())}")
-    return weights
+def _weighted_sample(x, weights, least: int) -> tuple[np.ndarray, np.ndarray | None]:
+    """The sample and weights that ``fit`` and ``log_likelihood`` take."""
+    x = sample(x, DegenerateSampleError, "samples", least)
+    if weights is not None:
+        weights = sample(weights, DomainError, "weights", 0)
+        if weights.size != x.size or np.any(weights < 0):
+            raise DomainError("weights must be non-negative, one weight per sample")
+        if abs(float(weights.sum()) - 1.0) > 1e-9:
+            raise DomainError(f"weights must sum to 1, got {float(weights.sum())}")
+    return x, weights
 
 
 def log_likelihood(
@@ -384,18 +354,12 @@ def log_likelihood(
     grid step scores too high.  With ``weights`` (summing to 1) the weighted
     form n * sum(w_i log p_i) is used.  Samples must lie in [0, 1].
     """
-    z = real_array(z, DegenerateSampleError, "samples")
-    weights = _check_sample(z, weights)
+    z, weights = _weighted_sample(z, weights, 0)
     if np.any((z < 0.0) | (z > 1.0)):
         raise DomainError("unit-interval samples must lie in [0, 1]")
     if not isinstance(c, CoefficientVector):
         raise DomainError(f"c must be a CoefficientVector, got {type(c).__name__}")
-    cc = np.asarray(c.c, float)
-    if cc.ndim != 1:
-        raise DomainError(f"need a 1-D coefficient vector, got shape {cc.shape}")
-    if not np.all(np.isfinite(cc)):
-        raise DomainError("coefficients must be finite")
-    return _kernel(z, cc, lam, cfg, weights)[0]
+    return _kernel(z, c.checked(), lam, cfg, weights)[0]
 
 
 def _fold(c: np.ndarray) -> np.ndarray:
@@ -584,12 +548,9 @@ def fit(
     and sum to 1.  A J at which no restart's grid density has the
     requested mode count drops out of the AIC comparison.
     """
-    x = real_array(x, DegenerateSampleError, "samples")
-    if x.size < 10:
-        raise DegenerateSampleError(f"need at least 10 observations, got {x.size}")
-    weights = _check_sample(x, weights)
-    support = cfg.support if cfg.support is not None else estimate_support(x)
-    z = rescale_to_unit(x, *support)
+    x, weights = _weighted_sample(x, weights, 10)
+    a, b = cfg.support if cfg.support is not None else estimate_support(x)
+    z = rescale_to_unit(x, a, b)
 
     best = None
     for obj, rows in _search(z, cfg.j_values(), cfg, weights):
@@ -613,5 +574,5 @@ def fit(
         j=j,
         loglik=ll,
         aic=aic,
-        support=tuple(float(s) for s in support),
+        support=(a, b),
     )

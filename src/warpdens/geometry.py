@@ -12,11 +12,13 @@ so ``coeffs_to_warp`` returns the warp that a fit evaluated.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InvalidSrsfError, InvalidWarpError, real_array
+from .errors import DomainError, InvalidSrsfError, InvalidWarpError
+from .errors import integer, real_array, sample
 
 DEFAULT_GRID_SIZE = 1024
 
@@ -26,8 +28,7 @@ _STRICT_EPS = 1e-12
 
 def unit_grid(n: int = DEFAULT_GRID_SIZE) -> np.ndarray:
     """Uniform grid of n points on [0,1]."""
-    if n < 2:
-        raise DomainError(f"grid needs at least 2 points, got {n}")
+    integer(n, DomainError, "grid size", 2)
     return np.linspace(0.0, 1.0, n)
 
 
@@ -48,11 +49,9 @@ class WarpingGrid:
     gamma: np.ndarray
 
     def __post_init__(self):
-        g = np.asarray(self.gamma, dtype=float)
+        g = sample(self.gamma, InvalidWarpError, "warp values", 2)
         if g.shape != np.shape(self.t):
             raise InvalidWarpError("grid/value length mismatch")
-        if not np.all(np.isfinite(g)):
-            raise InvalidWarpError("warp values must be finite")
         if abs(g[0]) > 1e-8 or abs(g[-1] - 1.0) > 1e-8:
             raise InvalidWarpError("warp endpoints must be 0 and 1")
         if np.any(np.diff(g) <= 0):
@@ -75,9 +74,7 @@ class SrsfGrid:
     q: np.ndarray
 
     def __post_init__(self):
-        if not np.all(np.isfinite(self.q)):
-            raise InvalidSrsfError("srsf values must be finite")
-        nrm = l2norm(np.asarray(self.q, float), self.t)
+        nrm = l2norm(sample(self.q, InvalidSrsfError, "srsf values", 2), self.t)
         if abs(nrm - 1.0) > 1e-4:
             raise InvalidSrsfError(f"not unit norm: ||q|| = {nrm:.6g}")
 
@@ -96,7 +93,7 @@ class TangentVector:
 
 @dataclass(frozen=True)
 class CoefficientVector:
-    """Finite basis coordinates of a tangent vector."""
+    """Basis coordinates of a tangent vector; the maps check them (``checked``)."""
 
     c: np.ndarray
 
@@ -107,6 +104,13 @@ class CoefficientVector:
     @property
     def j(self) -> int:
         return self.c.size
+
+    def checked(self) -> np.ndarray:
+        """The coordinates; DomainError unless 1-D and finite, with a finite ||c||^2."""
+        c = sample(self.c, DomainError, "coefficients", 1)
+        if not math.isfinite(sum(v * v for v in c.tolist())):
+            raise DomainError("coefficients must have a finite ||c||^2")
+        return c
 
 
 @dataclass(frozen=True)
@@ -134,8 +138,7 @@ def fourier_basis(j: int, n: int = DEFAULT_GRID_SIZE) -> BasisSet:
     sqrt(2)sin(4 pi t), ...  Fewer than ``min_grid_size(j)`` points alias them.
     Each call builds fresh arrays, so a caller may write to the ones it gets.
     """
-    if j < 1:
-        raise DomainError(f"basis dimension must be >= 1, got {j}")
+    integer(j, DomainError, "basis dimension", 1)
     if n < min_grid_size(j):
         raise DomainError(f"{n} grid points alias {j} Fourier functions")
     t = unit_grid(n)
@@ -223,9 +226,7 @@ def coeffs_to_warp(c: CoefficientVector, basis: BasisSet) -> WarpingGrid:
     """Map finite basis coefficients to a warp (tangent vector -> sphere -> warp)."""
     if c.j != basis.j:
         raise DomainError("coefficient/basis dimension mismatch")
-    if not np.all(np.isfinite(c.c)):
-        raise DomainError("coefficients must be finite")
-    return srsf_inverse(exp_map(TangentVector(basis.t, c.c @ basis.b)))
+    return srsf_inverse(exp_map(TangentVector(basis.t, c.checked() @ basis.b)))
 
 
 def warp_to_coeffs(w: WarpingGrid, basis: BasisSet) -> CoefficientVector:

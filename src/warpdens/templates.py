@@ -12,13 +12,12 @@ which is what makes the shape constraint exact.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 from typing import Literal, Sequence
 
 import numpy as np
 
-from .errors import ConstraintError, ShapeError, real_array
+from .errors import ConstraintError, ShapeError, integer, sample
 from .geometry import DEFAULT_GRID_SIZE, WarpingGrid, unit_grid
 
 Piece = Literal["inc", "dec", "flat"]
@@ -110,11 +109,7 @@ class ShapeSpec:
 
     @classmethod
     def modes(cls, m: int) -> "ShapeSpec":
-        if not isinstance(m, numbers.Integral) or isinstance(m, bool):
-            raise ShapeError(f"mode count must be an integer, got {m!r}")
-        if m < 1:
-            raise ShapeError(f"mode count must be positive, got {m}")
-        return cls(("inc", "dec") * m)
+        return cls(("inc", "dec") * integer(m, ShapeError, "mode count", 1))
 
     @property
     def n_pieces(self) -> int:
@@ -132,14 +127,14 @@ def level_heights(shape: ShapeSpec, lam: np.ndarray, omega: float) -> np.ndarray
     The first mode is 1, ``shape.free_levels`` take lam in order and
     the remaining levels (boundary antimodes) sit at omega.
     """
-    lam = np.atleast_1d(real_array(lam, ConstraintError, "height ratios"))
+    lam = sample(lam, ConstraintError, "height ratios", 0)
     free = shape.free_levels
     if lam.size != len(free):
         raise ConstraintError(
             f"height-ratio vector has length {lam.size}, expected {len(free)}"
         )
-    if not np.all(np.isfinite(lam) & (lam > 0)):
-        raise ConstraintError("height ratios must be finite and strictly positive")
+    if not np.all(lam > 0):
+        raise ConstraintError("height ratios must be strictly positive")
     # every mode but the first is free, and so is every antimode but the
     # pinned boundary ones
     heights = np.array([1.0 if lv.role == "high" else omega for lv in shape.levels])
@@ -197,9 +192,10 @@ class GridDensity:
 
     @classmethod
     def from_values(cls, t: np.ndarray, values: np.ndarray) -> "GridDensity":
-        """Normalize raw nonnegative values into a density."""
+        """Normalize raw nonnegative values into a density; ShapeError if no mass."""
         values = np.maximum(np.asarray(values, float), 0.0)
-        return cls(t, values / np.trapezoid(values, t))
+        with np.errstate(invalid="ignore", divide="ignore"):  # GridDensity refuses 0/0
+            return cls(t, values / np.trapezoid(values, t))
 
 
 def template_density(tmpl: TemplateFunction) -> GridDensity:

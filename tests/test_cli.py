@@ -135,7 +135,7 @@ class TestFitCommand:
         code = main(["fit", str(sample_csv), "-o", str(out), "--modes", "1",
                      "--seed", "-1"])
         assert code == 4
-        assert capsys.readouterr().err == "error: seed must be >= 0\n"
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
         assert not out.exists()
 
     @pytest.mark.parametrize(

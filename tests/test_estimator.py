@@ -272,7 +272,12 @@ class TestConfigValidation:
         ids=["list", "array", "numpy-scalar"],
     )
     def test_support_of_two_reals_accepted(self, support):
-        assert FitConfig(shape=ShapeSpec.modes(1), support=support).support is support
+        # stored as a tuple of two floats, so configs compare and hash
+        cfg = FitConfig(shape=ShapeSpec.modes(1), support=support)
+        assert cfg.support == (float(support[0]), float(support[1]))
+        assert all(type(v) is float for v in cfg.support)
+        again = FitConfig(shape=ShapeSpec.modes(1), support=support)
+        assert cfg == again and hash(cfg) == hash(again)
 
     def test_numpy_integers_accepted(self):
         cfg = FitConfig(

@@ -219,7 +219,7 @@ class TestFourierBasis:
         with pytest.raises(DomainError):
             fourier_basis(0, N)
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(
         j=st.integers(1, 12),
         n=st.one_of(st.integers(5, 64), st.sampled_from([1024, 4097])),
