@@ -26,6 +26,7 @@ from .geometry import (
     DEFAULT_GRID_SIZE,
     _THETA_FLOOR,
     CoefficientVector,
+    coeffs_to_srsf,
     coeffs_to_warp,  # noqa: F401  unused; the traced benchmark wraps this name
     fourier_basis,
     min_grid_size,
@@ -33,6 +34,7 @@ from .geometry import (
 )
 from .bfgs import minimize
 from .templates import (
+    MAX_PIECES,
     MODE_TOL,
     GridDensity,
     ShapeSpec,
@@ -62,24 +64,31 @@ class FitConfig:
     support: tuple[float, float] | None = None  # two floats; None => from the data
 
     def __post_init__(self):
-        integer(self.j_max, ConstraintError, "j_max", J_STEP)
+        _basis_size(self.j_max, "j_max")
         integer(self.restarts, ConstraintError, "restarts", 1)
         integer(self.seed, ConstraintError, "seed", 0)
         if not isinstance(self.shape, ShapeSpec):
             raise ConstraintError(f"shape must be a ShapeSpec, got {self.shape!r}")
-        if self.shape.n_pieces > DEFAULT_GRID_SIZE - 1:
+        if self.shape.n_pieces > MAX_PIECES:
             raise ConstraintError(
                 f"a shape of {self.shape.n_pieces} pieces has pieces narrower than"
                 f" one step of the {DEFAULT_GRID_SIZE}-point grid; at most"
-                f" {DEFAULT_GRID_SIZE - 1} fit"
+                f" {MAX_PIECES} fit"
             )
-        if min_grid_size(self.j_max) > DEFAULT_GRID_SIZE:
-            raise ConstraintError(f"need {J_STEP} <= j_max <= {DEFAULT_GRID_SIZE - 2}")
         if self.support is not None:
             object.__setattr__(self, "support", interval(self.support, ConstraintError))
 
     def j_values(self) -> list[int]:
         return list(range(J_STEP, self.j_max + 1, J_STEP))
+
+
+def _basis_size(j, name: str) -> int:
+    """``j``, a basis size a fit searches at: an integer of at least
+    ``J_STEP`` whose Fourier basis the grid resolves; else ConstraintError."""
+    integer(j, ConstraintError, name, J_STEP)
+    if min_grid_size(j) > DEFAULT_GRID_SIZE:
+        raise ConstraintError(f"need {J_STEP} <= {name} <= {DEFAULT_GRID_SIZE - 2}")
+    return j
 
 
 @dataclass(frozen=True)
@@ -129,8 +138,8 @@ class _Objective:
 
     ``forward`` maps (c, knot heights) to the log-likelihood
     W . log(val) - n log(norm) and the normalized grid density: v = c B,
-    the sphere exponential map at angle ||v|| = ||c||, gamma as the
-    cumulative trapezoid integral of q^2 (``warp_integral``), the template
+    the sphere exponential map at angle ||v|| = ||c|| (``coeffs_to_srsf``),
+    gamma as the cumulative trapezoid integral of q^2 (``warp_integral``), the template
     val on the grid and its trapezoid integral norm.  W holds the sample
     weights, linearly binned onto the grid once (Fan & Marron, 1994), so
     log p is interpolated linearly between grid points and a sample in a
@@ -139,7 +148,9 @@ class _Objective:
     ``forward``, so the reported likelihood is the function the search
     maximized.
 
-    ``value_and_grad`` adds the reverse pass in theta = (c, u).  Every c
+    ``value_and_grad`` adds the reverse pass in theta = (c, u), for any J =
+    len(c) up to ``j_max``: the Fourier basis is nested, so J's basis is the
+    first J rows of ``j_max``'s, and one objective serves a fit.  Every c
     gives a warp, so c is unconstrained; ``_fold`` picks one copy of each
     warp.  The heights follow ``ShapeSpec``'s
     layout: the first mode is 1, the free levels come from u, and the
@@ -162,12 +173,11 @@ class _Objective:
         self,
         z: np.ndarray,
         shape: ShapeSpec,
-        j: int,
+        j_max: int,
         weights: np.ndarray | None,
     ):
-        self.j = j
         n_grid = DEFAULT_GRID_SIZE
-        basis = fourier_basis(j, n_grid)
+        basis = fourier_basis(j_max, n_grid)
         self.t, self.b = basis.t, basis.b
         self.trap = np.full(n_grid, 1.0 / (n_grid - 1))  # trapezoid weights
         self.trap[[0, -1]] *= 0.5
@@ -196,7 +206,6 @@ class _Objective:
             for k, i in enumerate(self.free)
             if levels[i].role == "low"
         ]
-        self.n_params = j + len(self.free)
 
         # linear binning: each sample's weight goes to its two grid neighbors
         z = np.asarray(z, float)
@@ -241,12 +250,7 @@ class _Objective:
     def _tape(self, c: np.ndarray, kh):
         """(loglik, what the reverse pass reuses); kh is a list or an array."""
         pieces = self.n_pieces
-        v = c @ self.b
-        nrm = math.sqrt(float(c @ c))
-        curved = nrm >= _THETA_FLOOR
-        sinc = math.sin(nrm) / nrm if curved else 1.0
-        q = sinc * v
-        q += math.cos(nrm) if curved else 1.0
+        q, nrm, sinc, v = coeffs_to_srsf(c, self.b)
         gamma, total = warp_integral(q * q)
 
         # piecewise-linear template on the grid, positive with the knot
@@ -266,7 +270,7 @@ class _Objective:
 
     def value_and_grad(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
         """(-loglik, -d loglik / d theta), finite as every height is positive."""
-        j, pieces = self.j, self.n_pieces
+        j, pieces = theta.size - len(self.free), self.n_pieces
         c = theta[:j]
         heights, dh_du, links = self.heights(theta[j:])
         heights = heights.tolist()
@@ -300,7 +304,7 @@ class _Objective:
         seg[1:-1] -= float(gamma_bar @ gamma)
         qq_bar = q * (seg[1:] + seg[:-1])
         scale = -2.0 * pieces / total  # q_bar = scale * qq_bar, for -loglik
-        c_grad = self.b @ ((scale * sinc) * qq_bar)
+        c_grad = self.b[:j] @ ((scale * sinc) * qq_bar)
         if nrm >= _THETA_FLOOR:
             nrm_bar = scale * (
                 -math.sin(nrm) * float(qq_bar.sum())
@@ -339,6 +343,15 @@ def _weighted_sample(x, weights, least: int) -> tuple[np.ndarray, np.ndarray | N
     return x, weights
 
 
+def _unit_sample(z, weights, least: int) -> tuple[np.ndarray, np.ndarray | None]:
+    """The unit-interval sample and weights that ``fit_fixed_j`` and
+    ``log_likelihood`` take."""
+    z, weights = _weighted_sample(z, weights, least)
+    if np.any((z < 0.0) | (z > 1.0)):
+        raise DomainError("unit-interval samples must lie in [0, 1]")
+    return z, weights
+
+
 def log_likelihood(
     z: np.ndarray,
     c: CoefficientVector,
@@ -354,9 +367,7 @@ def log_likelihood(
     grid step scores too high.  With ``weights`` (summing to 1) the weighted
     form n * sum(w_i log p_i) is used.  Samples must lie in [0, 1].
     """
-    z, weights = _weighted_sample(z, weights, 0)
-    if np.any((z < 0.0) | (z > 1.0)):
-        raise DomainError("unit-interval samples must lie in [0, 1]")
+    z, weights = _unit_sample(z, weights, 0)
     if not isinstance(c, CoefficientVector):
         raise DomainError(f"c must be a CoefficientVector, got {type(c).__name__}")
     return _kernel(z, c.checked(), lam, cfg, weights)[0]
@@ -375,19 +386,19 @@ def _fold(c: np.ndarray) -> np.ndarray:
     return c * ((m if m <= math.pi / 2.0 else m - math.pi) / r)
 
 
-def _random_start(obj: _Objective, rng: np.random.Generator) -> np.ndarray:
-    theta = np.zeros(obj.n_params)
-    direction = rng.standard_normal(obj.j)
+def _random_start(obj: _Objective, j: int, rng: np.random.Generator) -> np.ndarray:
+    theta = np.zeros(j + len(obj.free))
+    direction = rng.standard_normal(j)
     direction /= max(np.linalg.norm(direction), 1e-12)
-    radius = (math.pi / 2.0) * rng.uniform() ** (1.0 / obj.j)
-    theta[: obj.j] = radius * direction
+    radius = (math.pi / 2.0) * rng.uniform() ** (1.0 / j)
+    theta[:j] = radius * direction
     # log-uniform(0.1, 1), one draw per height parameter, left to right
     fracs = [math.exp(rng.uniform(math.log(0.1), 0.0)) for _ in obj.free]
     for k, _ in obj.modes:
-        theta[obj.j + k] = math.log(0.5 + fracs[k])
+        theta[j + k] = math.log(0.5 + fracs[k])
     for k, *_ in obj.antimodes:
         s = min(fracs[k], 1.0 - 1e-9)
-        theta[obj.j + k] = math.log(s / (1.0 - s))
+        theta[j + k] = math.log(s / (1.0 - s))
     return theta
 
 
@@ -404,13 +415,13 @@ def _shares() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _run_starts(searches: list) -> np.ndarray:
-    """Row i holds search i's fun, then its end point, zero-padded to the
-    widest search; ``searches`` holds (objective, start) pairs.
+def _run_starts(fun, starts: list[np.ndarray]) -> np.ndarray:
+    """Row i holds the fun of the search of ``fun`` from ``starts[i]``,
+    then its end point, zero-padded to the longest start.
 
     The rows live in one float64 table and the claims in one byte per
     row, both in anonymous mappings made before the fork, so the caller
-    and S - 1 forked children share them, S = min(len(searches),
+    and S - 1 forked children share them, S = min(len(starts),
     ``_shares()``).  Process s runs search s, then claims the first
     unclaimed row until none is left, so no process waits while another
     has searches to run.  Two processes that claim one row at once both
@@ -424,17 +435,16 @@ def _run_starts(searches: list) -> np.ndarray:
     killed before they are reaped, so the error does not wait for their
     searches.
     """
-    n, shares = len(searches), min(len(searches), _shares())
-    width = 1 + max(obj.n_params for obj, _ in searches)
+    n, shares = len(starts), min(len(starts), _shares())
+    width = 1 + max(start.size for start in starts)
     table = np.frombuffer(mmap.mmap(-1, 8 * n * width)).reshape(n, width)
     table[:, 0] = np.nan
     claims = mmap.mmap(-1, n)
     claims[:shares] = b"\1" * shares  # process s runs search s first
 
     def search(r):
-        obj, start = searches[r]
-        res = minimize(obj.value_and_grad, start, options={"maxiter": MAXITER})
-        table[r, 1 : 1 + obj.n_params] = res.x
+        res = minimize(fun, starts[r], options={"maxiter": MAXITER})
+        table[r, 1 : 1 + res.x.size] = res.x
         table[r, 0] = res.fun
 
     def work(first):
@@ -473,8 +483,8 @@ def _search(
     js: list[int],
     cfg: FitConfig,
     weights: np.ndarray | None,
-) -> list[tuple[_Objective, np.ndarray]]:
-    """Per J of the ascending ``js``: its objective, and its starts' rows
+) -> tuple[_Objective, list[np.ndarray]]:
+    """The objective, and per J of the ascending ``js`` its starts' rows
     (fun, end point) in start order.
 
     Start 0 is deterministic (identity warp, midpoint-feasible heights);
@@ -482,19 +492,19 @@ def _search(
     J's starts go to one ``_run_starts`` call, largest J first, as those
     searches take longest.
     """
-    objs = [_Objective(z, cfg.shape, j, weights) for j in js]
-    searches = [
-        (obj, _random_start(obj, np.random.default_rng([cfg.seed, r]))
-         if r else np.zeros(obj.n_params))
-        for obj in reversed(objs)
+    obj = _Objective(z, cfg.shape, js[-1], weights)
+    starts = [
+        _random_start(obj, j, np.random.default_rng([cfg.seed, r]))
+        if r else np.zeros(j + len(obj.free))
+        for j in reversed(js)
         for r in range(cfg.restarts + 1)
     ]
-    blocks = _run_starts(searches).reshape(len(objs), cfg.restarts + 1, -1)[::-1]
-    return [(obj, rows[:, : 1 + obj.n_params]) for obj, rows in zip(objs, blocks)]
+    blocks = np.split(_run_starts(obj.value_and_grad, starts), len(js))[::-1]
+    return obj, [rows[:, : 1 + j + len(obj.free)] for j, rows in zip(js, blocks)]
 
 
 def _select(
-    obj: _Objective, rows: np.ndarray, n_modes: int
+    obj: _Objective, j: int, rows: np.ndarray, n_modes: int
 ) -> tuple[CoefficientVector, np.ndarray, float, GridDensity]:
     """The best of one J's searches whose grid density has ``n_modes`` modes.
 
@@ -503,7 +513,6 @@ def _select(
     returned with c folded into ||c|| <= pi/2 (``_fold``), and with the
     log-likelihood and grid density at that c.
     """
-    j = obj.j
     for theta in rows[np.argsort(rows[:, 0], kind="stable"), 1:]:
         c = _fold(theta[:j])
         heights = obj.heights(theta[j:])[0]
@@ -529,10 +538,14 @@ def fit_fixed_j(
     positive, so every run ends at a finite value.  The runs share the
     CPUs in this process's affinity mask (``_run_starts``), and the result
     depends neither on how many there are nor on a child that fails.
-    ``_select`` picks the winner.
+    ``_select`` picks the winner.  ``z`` holds at least 10 samples in
+    [0, 1], with optional weights as ``fit`` takes them, and J is an
+    integer that ``FitConfig`` would accept as ``j_max``.
     """
-    [(obj, rows)] = _search(z, [j], cfg, weights)
-    return _select(obj, rows, cfg.shape.n_modes)
+    z, weights = _unit_sample(z, weights, 10)
+    j = _basis_size(j, "j")
+    obj, [rows] = _search(z, [j], cfg, weights)
+    return _select(obj, j, rows, cfg.shape.n_modes)
 
 
 def fit(
@@ -553,10 +566,10 @@ def fit(
     z = rescale_to_unit(x, a, b)
 
     best = None
-    for obj, rows in _search(z, cfg.j_values(), cfg, weights):
-        j = obj.j
+    obj, blocks = _search(z, cfg.j_values(), cfg, weights)
+    for j, rows in zip(cfg.j_values(), blocks):
         try:
-            c, lam, ll, dens = _select(obj, rows, cfg.shape.n_modes)
+            c, lam, ll, dens = _select(obj, j, rows, cfg.shape.n_modes)
         except OptimizationError:
             continue  # no candidate with the requested shape at this J
         k = j + lam.size

@@ -6,8 +6,9 @@ orthant of the unit sphere in L2[0,1]; the tangent space of that sphere
 at the constant function 1 is the zero-mean subspace, which we span with
 a finite Fourier family.  The composite maps (warp -> coefficients and
 coefficients -> warp) let a finite real vector parameterize a warp.  The
-likelihood kernel shares ``warp_integral``, the one rule for gamma from q,
-so ``coeffs_to_warp`` returns the warp that a fit evaluated.
+likelihood kernel shares ``coeffs_to_srsf`` and ``warp_integral``, the one
+map from c to q and the one rule for gamma from q, so ``coeffs_to_warp``
+returns the warp that a fit evaluated.
 """
 
 from __future__ import annotations
@@ -222,11 +223,24 @@ def exp_map(v: TangentVector) -> SrsfGrid:
     return SrsfGrid(v.t, q)
 
 
+def coeffs_to_srsf(c: np.ndarray, b: np.ndarray) -> tuple:
+    """(q, ||c||, sin||c|| / ||c||, v): the sphere exponential at 1 of the
+    tangent vector v = c b[:c.size], at the angle ||c||, which equals ||v||
+    and is finite wherever ||c||^2 is (the grid norm of v can overflow)."""
+    v = c @ b[: c.size]
+    nrm = math.sqrt(float(c @ c))
+    curved = nrm >= _THETA_FLOOR
+    sinc = math.sin(nrm) / nrm if curved else 1.0
+    q = sinc * v
+    q += math.cos(nrm) if curved else 1.0
+    return q, nrm, sinc, v
+
+
 def coeffs_to_warp(c: CoefficientVector, basis: BasisSet) -> WarpingGrid:
     """Map finite basis coefficients to a warp (tangent vector -> sphere -> warp)."""
     if c.j != basis.j:
         raise DomainError("coefficient/basis dimension mismatch")
-    return srsf_inverse(exp_map(TangentVector(basis.t, c.checked() @ basis.b)))
+    return srsf_inverse(SrsfGrid(basis.t, coeffs_to_srsf(c.checked(), basis.b)[0]))
 
 
 def warp_to_coeffs(w: WarpingGrid, basis: BasisSet) -> CoefficientVector:

@@ -26,6 +26,10 @@ Piece = Literal["inc", "dec", "flat"]
 #: search's visible antimode gap (``_Objective.rel_gap``) is derived from it.
 MODE_TOL = 1e-6
 
+#: Most pieces a fitted shape may have: past this, a piece is narrower than
+#: one step of the fit's grid.
+MAX_PIECES = DEFAULT_GRID_SIZE - 1
+
 
 @dataclass(frozen=True)
 class _Level:
@@ -109,7 +113,14 @@ class ShapeSpec:
 
     @classmethod
     def modes(cls, m: int) -> "ShapeSpec":
-        return cls(("inc", "dec") * integer(m, ShapeError, "mode count", 1))
+        """M modes, as (inc, dec) repeated M times; ShapeError unless the
+        2M pieces are at most ``MAX_PIECES``."""
+        if 2 * integer(m, ShapeError, "mode count", 1) > MAX_PIECES:
+            raise ShapeError(
+                f"{m} modes make a shape of {2 * m} pieces; at most {MAX_PIECES}"
+                f" fit the {DEFAULT_GRID_SIZE}-point grid"
+            )
+        return cls(("inc", "dec") * m)
 
     @property
     def n_pieces(self) -> int:

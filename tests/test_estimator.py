@@ -62,11 +62,11 @@ def record_searches(monkeypatch):
     J's starts in start order, so with one J the index is the start's."""
     real_run_starts, runs = estimator._run_starts, []
 
-    def recording_run_starts(searches):
-        rows = real_run_starts(searches)
+    def recording_run_starts(fun, starts):
+        rows = real_run_starts(fun, starts)
         runs.extend(
             (row[0], r, row[1 : 1 + len(start)].copy())
-            for r, (row, (_, start)) in enumerate(zip(rows, searches))
+            for r, (row, start) in enumerate(zip(rows, starts))
         )
         return rows
 
@@ -512,12 +512,12 @@ class TestObjective:
         if w is not None:
             w /= w.sum()
         obj = _Objective(z, shape, j, w)
-        theta = np.empty(obj.n_params)
+        theta = np.empty(j + len(obj.free))
         direction = rng.standard_normal(j)
         direction /= np.linalg.norm(direction)
         radius = rng.uniform(1.1, 2.0) if outside else rng.uniform(0.0, 0.9)
         theta[:j] = radius * 2.0 * math.pi * direction
-        theta[j:] = rng.uniform(-6.0, 6.0, obj.n_params - j)
+        theta[j:] = rng.uniform(-6.0, 6.0, len(obj.free))
 
         f, g = obj.value_and_grad(theta)
         f2, g2 = obj.value_and_grad(theta.copy())
@@ -548,7 +548,7 @@ class TestObjective:
         z = np.random.default_rng(13).beta(2.0, 2.0, 300)
         obj = _Objective(z, ShapeSpec.modes(2), 4, None)
         theta_a, theta_b = (
-            _random_start(obj, np.random.default_rng([13, r])) for r in (1, 2)
+            _random_start(obj, 4, np.random.default_rng([13, r])) for r in (1, 2)
         )
         f_a, g_a = obj.value_and_grad(theta_a)
         g_kept = g_a.copy()
@@ -574,7 +574,7 @@ class TestObjective:
         # sigmoid(50) rounds to 1; the antimode must still sit below its cap
         shape = ShapeSpec.modes(m)
         obj = _Objective(np.array([0.5]), shape, 2, None)
-        theta = np.zeros(obj.n_params)
+        theta = np.zeros(2 + len(obj.free))
         theta[2:] = u_mode
         for k, *_ in obj.antimodes:
             theta[2 + k] = 50.0
@@ -598,11 +598,11 @@ class TestObjective:
         if w is not None:
             w /= w.sum()
         obj = _Objective(z, shape, j, w)
-        theta = np.empty(obj.n_params)
+        theta = np.empty(j + len(obj.free))
         direction = rng.standard_normal(j)
         direction /= np.linalg.norm(direction)
         theta[:j] = rng.uniform(0.0, 0.999) * 2.0 * math.pi * direction
-        theta[j:] = rng.uniform(-6.0, 6.0, obj.n_params - j)
+        theta[j:] = rng.uniform(-6.0, 6.0, len(obj.free))
         c = theta[:j]
         heights = obj.heights(theta[j:])[0]
         lam = heights[obj.free]
@@ -618,6 +618,27 @@ class TestObjective:
         warp = coeffs_to_warp(CoefficientVector(c), fourier_basis(j, 1024))
         ref = group_action(build_template(shape, lam, 1e-3, 1024), warp).p
         assert np.max(np.abs(p - ref)) <= 1e-10 * np.max(ref)
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_every_j_evaluates_through_one_objective(self, weighted):
+        # the basis is nested, so the objective built at J = 10 gives every
+        # smaller J the bytes of that J's own objective; J is len(c)
+        rng = np.random.default_rng(23)
+        z = np.append(rng.beta(2.0, 2.0, 300), [0.0, 1.0])
+        w = rng.uniform(0.0, 1.0, z.size) if weighted else None
+        if w is not None:
+            w /= w.sum()
+        shape = ShapeSpec.modes(3)
+        one = _Objective(z, shape, 10, w)
+        for j in (2, 4, 6, 8):
+            own = _Objective(z, shape, j, w)
+            theta = np.concatenate(
+                (rng.uniform(-2.0, 2.0, j), rng.uniform(-6.0, 6.0, len(own.free)))
+            )
+            f, g = one.value_and_grad(theta)
+            f_own, g_own = own.value_and_grad(theta)
+            assert f == f_own and g.size == theta.size
+            assert g.tobytes() == g_own.tobytes()
 
     def test_kernel_holds_no_per_sample_array(self):
         # the samples are binned once, so the kernel's arrays, and the cost
@@ -665,8 +686,8 @@ class TestObjective:
             g = np.interp(np.interp(z, obj.t, gamma), knots, kh)
             return float(wt @ np.log(g)) - wt.sum() * math.log(norm)
 
-        n_u = obj.n_params - j
-        random_start = _random_start(obj, rng)[j:]
+        n_u = len(obj.free)
+        random_start = _random_start(obj, j, rng)[j:]
         for u, bound in [
             (random_start, 1e-3),
             (rng.uniform(-_U_CLIP, _U_CLIP, n_u), 0.05),  # antimodes to ~1e-13
@@ -906,22 +927,19 @@ class TestShares:
         x = _bimodal_sample()
         z = rescale_to_unit(x, *estimate_support(x))
         rng = np.random.default_rng(0)
-        searches = [
-            (obj, _random_start(obj, rng))
-            for obj in (_Objective(z, self.CFG.shape, j, None) for j in (4, 2))
-            for _ in range(3)
-        ]
-        monkeypatch.setattr(estimator, "_shares", lambda: len(searches))
-        rows = estimator._run_starts(searches)
+        obj = _Objective(z, self.CFG.shape, 4, None)
+        starts = [_random_start(obj, j, rng) for j in (4, 2) for _ in range(3)]
+        monkeypatch.setattr(estimator, "_shares", lambda: len(starts))
+        rows = estimator._run_starts(obj.value_and_grad, starts)
         assert_no_child_left()
-        assert rows.shape == (6, 1 + searches[0][0].n_params)
-        for row, (obj, start) in zip(rows, searches):
+        assert rows.shape == (6, 1 + starts[0].size)
+        for row, start in zip(rows, starts):
             res = estimator.minimize(
                 obj.value_and_grad, start, options={"maxiter": estimator.MAXITER}
             )
-            end = row[1 : 1 + obj.n_params]
+            end = row[1 : 1 + start.size]
             assert row[0] == res.fun and np.array_equal(end, res.x)
-            assert not row[1 + obj.n_params :].any()
+            assert not row[1 + start.size :].any()
 
     @pytest.mark.parametrize("where", ["caller", "everywhere"])
     def test_error_in_a_share_reaches_the_caller(self, monkeypatch, where):
@@ -1076,13 +1094,38 @@ class TestFit:
         est = fit(z, cfg)
         assert est.j in cfg.j_values()
 
+    def test_one_objective_per_fit(self, monkeypatch):
+        # every J of the sweep evaluates through the one objective built at
+        # j_max: the kernel state is binned and laid out once per call
+        built = []
+
+        class Counted(estimator._Objective):
+            def __init__(self, *args):
+                built.append(args[2])
+                super().__init__(*args)
+
+        monkeypatch.setattr(estimator, "_Objective", Counted)
+        spec = BENCHMARKS["bimodal"]
+        cfg = FitConfig(shape=spec.shape, restarts=spec.restarts, j_max=spec.j_max)
+        x = _bimodal_sample()
+        fit(x, cfg)
+        assert built == [cfg.j_max]
+        small = FitConfig(shape=ShapeSpec.modes(2), j_max=4, restarts=1)
+        rng = np.random.default_rng(5)
+        xc = rng.uniform(0.0, 1.0, 200)
+        yc = rng.normal(np.where(xc < 0.5, -1.0, 1.5), 0.5)
+        fit_conditional(xc, yc, ConditionalFitConfig(base=small, x0=0.5))
+        assert built == [cfg.j_max, 4]
+        fit_fixed_j(rescale_to_unit(x, *estimate_support(x)), 6, small)
+        assert built == [cfg.j_max, 4, 6]
+
     def test_j_without_candidate_drops_out(self, monkeypatch):
         real = estimator._select
 
-        def fail_at_2(obj, rows, n_modes):
-            if obj.j == 2:
+        def fail_at_2(obj, j, rows, n_modes):
+            if j == 2:
                 raise OptimizationError("no candidate")
-            return real(obj, rows, n_modes)
+            return real(obj, j, rows, n_modes)
 
         monkeypatch.setattr(estimator, "_select", fail_at_2)
         z = np.sort(np.random.default_rng(8).beta(2, 2, 150))

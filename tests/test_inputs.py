@@ -27,6 +27,7 @@ from warpdens import (
     DegenerateSampleError,
     DomainError,
     FitConfig,
+    ShapeError,
     ShapeSpec,
     WarpdensError,
     adaptive_bandwidth,
@@ -36,6 +37,7 @@ from warpdens import (
     estimate_support,
     fit,
     fit_conditional,
+    fit_fixed_j,
     fourier_basis,
     log_likelihood,
     pilot_bandwidth,
@@ -47,6 +49,7 @@ from warpdens.cli import main
 _BIG = np.array([1e308, -1e308] + [0.0] * 20)  # its sd overflows
 _XS = np.random.default_rng(0).normal(0.0, 1.0, 40)
 _CFG = FitConfig(shape=ShapeSpec.modes(1), j_max=2, restarts=1)
+_ZS = np.linspace(0.05, 0.95, 20)  # a unit-interval sample
 
 
 @pytest.mark.parametrize(
@@ -71,11 +74,24 @@ _CFG = FitConfig(shape=ShapeSpec.modes(1), j_max=2, restarts=1)
          DomainError),
         (lambda: coeffs_to_warp(CoefficientVector([1e308, 0.0]), fourier_basis(2)),
          DomainError),
+        (lambda: fit_fixed_j(np.linspace(2.0, 3.0, 20), 2, _CFG), DomainError),
+        (lambda: fit_fixed_j(np.where(np.arange(20) == 3, math.nan, _ZS), 2, _CFG),
+         DegenerateSampleError),
+        (lambda: fit_fixed_j(["a"] * 20, 2, _CFG), DegenerateSampleError),
+        (lambda: fit_fixed_j(_ZS[:9], 2, _CFG), DegenerateSampleError),
+        (lambda: fit_fixed_j(_ZS, 1, _CFG), ConstraintError),
+        (lambda: fit_fixed_j(_ZS, 1023, _CFG), ConstraintError),
+        (lambda: fit_fixed_j(_ZS, 2.0, _CFG), ConstraintError),
+        (lambda: ShapeSpec.modes(10**30), ShapeError),
+        (lambda: ShapeSpec.modes(10**9), ShapeError),
     ],
     ids=["fit-sd-overflow", "cfit-sd-overflow", "support-width-overflow",
          "rescale-width-overflow", "support-nan", "support-inf", "support-2d",
          "pilot-nan", "pilot-sd-overflow", "rescale-nan", "adaptive-nan-x0",
-         "weights-nan-x0", "loglik-norm-overflow", "warp-norm-overflow"],
+         "weights-nan-x0", "loglik-norm-overflow", "warp-norm-overflow",
+         "fixed-j-outside-unit", "fixed-j-nan", "fixed-j-strings", "fixed-j-nine",
+         "fixed-j-below-step", "fixed-j-beyond-grid", "fixed-j-float",
+         "modes-beyond-index", "modes-billion"],
 )
 def test_escaped_input_raises_typed_error(call, error):
     with pytest.raises(error):
@@ -97,6 +113,24 @@ def test_escaped_cli_input_exits_with_its_code(tmp_path, argv, values, code):
     flags = ["--modes", "1", "--jmax", "2", "--restarts", "1", *argv]
     assert main(["fit", str(src), "-o", str(out), *flags]) == code
     assert not out.exists()
+
+
+def test_mode_count_beyond_an_index_exits_4(tmp_path, capsys):
+    # refused before the 2M-piece tuple is built, which overflowed here
+    src = tmp_path / "x.csv"
+    src.write_text("".join(f"{float(v)!r}\n" for v in _XS))
+    out = tmp_path / "x.json"
+    assert main(["fit", str(src), "-o", str(out), "--modes", str(10**30)]) == 4
+    assert "pieces" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_warp_takes_its_angle_from_the_coefficients():
+    # ||c||^2 = 1.69e308 is finite, but v = c B squares past the float
+    # range on the grid; the angle comes from ||c||, as in the kernel
+    warp = coeffs_to_warp(CoefficientVector([1.3e154, 0.0]), fourier_basis(2))
+    assert warp.gamma[0] == 0.0 and warp.gamma[-1] == 1.0
+    assert np.all(np.diff(warp.gamma) > 0.0)
 
 
 # -- the grammar ------------------------------------------------------------
@@ -205,6 +239,24 @@ def test_fit_conditional(n, x0, frac, data):
     est = attempt(lambda: fit_conditional(x, y, cfg))
     if est is not None:
         check_estimate(est, 1)
+
+
+@examples(100)
+@given(x=samples(st.integers(10, 200)), unit=st.integers(0, 3).map(lambda k: k < 3),
+       j=st.one_of(st.integers(2, 4), others), modes=st.integers(1, 2),
+       weights=st.one_of(st.none(), st.none(), st.just("dirichlet"), samples()))
+def test_fit_fixed_j(x, unit, j, modes, weights):
+    cfg = FitConfig(ShapeSpec.modes(modes), j_max=2, restarts=1)
+    support = attempt(lambda: estimate_support(x)) if unit else None
+    if support is not None:  # three draws in four: the sample mapped into [0, 1]
+        x = rescale_to_unit(x, *support)
+    if isinstance(weights, str):  # one weight per value, summing to 1
+        weights = np.random.default_rng(1).dirichlet(np.ones(max(np.size(x), 1)))
+    got = attempt(lambda: fit_fixed_j(x, j, cfg, weights))
+    if got is not None:
+        _, _, ll, dens = got
+        assert math.isfinite(ll) and count_modes(dens) == modes
+        assert abs(np.trapezoid(dens.p, dens.t) - 1.0) <= 1e-6
 
 
 @examples(100)
