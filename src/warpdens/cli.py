@@ -314,6 +314,9 @@ def main(argv=None) -> int:
     except WarpdensError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
+    except MemoryError as exc:  # a size too large to hold is an invalid setting
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return EXIT_DOMAIN
 
 
 if __name__ == "__main__":

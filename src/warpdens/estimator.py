@@ -422,48 +422,46 @@ def _run_starts(fun, starts: list[np.ndarray]) -> np.ndarray:
     The rows live in one float64 table and the claims in one byte per
     row, both in anonymous mappings made before the fork, so the caller
     and S - 1 forked children share them, S = min(len(starts),
-    ``_shares()``).  Process s runs search s, then claims the first
-    unclaimed row until none is left, so no process waits while another
-    has searches to run.  Two processes that claim one row at once both
-    run it and write the same bytes.  A search writes its end point, then
-    its fun, so a row whose fun is still NaN did not finish: once every
-    child is reaped, the caller runs those rows itself.  A search is the
-    same computation in any process, so the rows depend neither on S, nor
-    on which process ran which search, nor on a child that raised or was
-    killed, and an error that a search raises everywhere reaches the
-    caller from its own run.  If the caller raises, the children are
-    killed before they are reaped, so the error does not wait for their
-    searches.
+    ``_shares()``).  Every process runs one loop: claim the first
+    unclaimed row and run its search, until none is left, so the rows are
+    claimed in list order and no process waits while another has searches
+    to run.  Two processes that claim one row at once both run it and write
+    the same bytes.  A search writes its end point, then its fun, so a row
+    whose fun is still NaN did not finish: once every child is reaped, the
+    caller runs those rows itself.  A search is the same computation in
+    any process, so the rows depend neither on S, nor on which process ran
+    which search, nor on a child that raised or was killed, and an error
+    that a search raises everywhere reaches the caller from its own run.
+    If the caller raises, the children are killed before they are reaped,
+    so the error does not wait for their searches.
     """
     n, shares = len(starts), min(len(starts), _shares())
     width = 1 + max(start.size for start in starts)
     table = np.frombuffer(mmap.mmap(-1, 8 * n * width)).reshape(n, width)
     table[:, 0] = np.nan
     claims = mmap.mmap(-1, n)
-    claims[:shares] = b"\1" * shares  # process s runs search s first
 
     def search(r):
         res = minimize(fun, starts[r], options={"maxiter": MAXITER})
         table[r, 1 : 1 + res.x.size] = res.x
         table[r, 0] = res.fun
 
-    def work(first):
-        search(first)
+    def work():
         while (r := claims.find(b"\0", 0)) >= 0:
             claims[r] = 1
             search(r)
 
     children = []
     try:
-        for s in range(1, shares):
+        for _ in range(shares - 1):
             pid = os.fork()
             if pid == 0:  # the child: run searches until none is left, then exit
                 try:
-                    work(s)
+                    work()
                 finally:
                     os._exit(0)
             children.append(pid)
-        work(0)
+        work()
     except BaseException:
         import signal  # only on this path, so that importing warpdens does not load it
 
@@ -489,17 +487,17 @@ def _search(
 
     Start 0 is deterministic (identity warp, midpoint-feasible heights);
     start r >= 1 draws from the stream seeded by (``cfg.seed``, r).  Every
-    J's starts go to one ``_run_starts`` call, largest J first, as those
-    searches take longest.
+    J's starts go to one ``_run_starts`` queue in sweep order: J
+    ascending, and start r in order within each J.
     """
     obj = _Objective(z, cfg.shape, js[-1], weights)
     starts = [
         _random_start(obj, j, np.random.default_rng([cfg.seed, r]))
         if r else np.zeros(j + len(obj.free))
-        for j in reversed(js)
+        for j in js
         for r in range(cfg.restarts + 1)
     ]
-    blocks = np.split(_run_starts(obj.value_and_grad, starts), len(js))[::-1]
+    blocks = np.split(_run_starts(obj.value_and_grad, starts), len(js))
     return obj, [rows[:, : 1 + j + len(obj.free)] for j, rows in zip(js, blocks)]
 
 
@@ -555,8 +553,9 @@ def fit(
 ) -> DensityEstimate:
     """Full fit: support, rescaling, J sweep, AIC selection.
 
-    Every J's searches run in one ``_run_starts`` call, so a fit forks
-    once; each J's winner is then picked as ``fit_fixed_j`` picks it.
+    Every J's searches run in one ``_run_starts`` queue, J ascending, so a
+    fit forks once; each J's winner is then picked as ``fit_fixed_j``
+    picks it, and the AIC loop reads the J blocks in the same order.
     ``weights``, if given, hold one finite, non-negative weight per sample
     and sum to 1.  A J at which no restart's grid density has the
     requested mode count drops out of the AIC comparison.

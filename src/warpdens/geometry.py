@@ -39,7 +39,9 @@ def inner(f: np.ndarray, g: np.ndarray, t: np.ndarray) -> float:
 
 
 def l2norm(f: np.ndarray, t: np.ndarray) -> float:
-    return float(np.sqrt(max(np.trapezoid(f * f, t), 0.0)))
+    """The trapezoid L2 norm; inf, without a warning, where f * f overflows."""
+    with np.errstate(over="ignore"):
+        return float(np.sqrt(max(np.trapezoid(f * f, t), 0.0)))
 
 
 @dataclass(frozen=True)
@@ -215,8 +217,13 @@ def inv_exp_map(q: SrsfGrid) -> TangentVector:
 
 
 def exp_map(v: TangentVector) -> SrsfGrid:
-    """Sphere exponential at 1: cos(||v||) 1 + (sin(||v||)/||v||) v."""
+    """Sphere exponential at 1: cos(||v||) 1 + (sin(||v||)/||v||) v.
+
+    DomainError unless the angle ||v|| is finite.
+    """
     nrm = v.norm
+    if not math.isfinite(nrm):
+        raise DomainError(f"tangent vector must have a finite norm, got {nrm}")
     if nrm < _THETA_FLOOR:
         return SrsfGrid(v.t, np.ones_like(v.v))
     q = np.cos(nrm) + (np.sin(nrm) / nrm) * v.v

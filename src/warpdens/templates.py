@@ -203,9 +203,14 @@ class GridDensity:
 
     @classmethod
     def from_values(cls, t: np.ndarray, values: np.ndarray) -> "GridDensity":
-        """Normalize raw nonnegative values into a density; ShapeError if no mass."""
+        """Normalize raw nonnegative values into a density; ShapeError if no mass.
+
+        The values are scaled to a largest value of 1 first, so that their
+        integral neither overflows nor loses digits below the normal range.
+        """
         values = np.maximum(np.asarray(values, float), 0.0)
         with np.errstate(invalid="ignore", divide="ignore"):  # GridDensity refuses 0/0
+            values = values / values.max(initial=0.0)
             return cls(t, values / np.trapezoid(values, t))
 
 

@@ -332,6 +332,14 @@ class TestBenchCommand:
         assert capsys.readouterr().err == message
         assert list(tmp_path.iterdir()) == []
 
+    def test_size_beyond_memory_exit_4(self, tmp_path, capsys):
+        # 10^15 samples take petabytes: numpy refuses the array before it
+        # touches memory, and the CLI reports that as an invalid setting
+        code = main(["bench", "bimodal", "--n", str(10**15), "--reps", "1",
+                     "--out-dir", str(tmp_path / "out")])
+        assert code == 4
+        assert capsys.readouterr().err.startswith("error: out of memory: ")
+
     def test_small_run_writes_outputs(self, tmp_path, capsys):
         code = main(
             [
@@ -364,6 +372,14 @@ class TestOracleCommand:
         gam = payload["gamma"]
         err = max(abs(pt["g"] - pt["t"]) for pt in gam)
         assert err < 1e-6
+
+    def test_grid_beyond_memory_exit_4(self, tmp_path, capsys):
+        out = tmp_path / "x.json"
+        code = main(["oracle", "beta22", "-o", str(out), "--modes", "1",
+                     "--grid", str(10**15)])
+        assert code == 4
+        assert capsys.readouterr().err.startswith("error: out of memory: ")
+        assert not out.exists()
 
     def test_mode_mismatch_exit_4(self, tmp_path):
         code = main(

@@ -58,8 +58,8 @@ def binned_loglik(z, log_p):
 
 def record_searches(monkeypatch):
     """Record (fun, search index, end point) of every search the fit runs,
-    from the rows of the one ``_run_starts`` call: largest J first, each
-    J's starts in start order, so with one J the index is the start's."""
+    from the rows of the one ``_run_starts`` call: J ascending, each J's
+    starts in start order, so with one J the index is the start's."""
     real_run_starts, runs = estimator._run_starts, []
 
     def recording_run_starts(fun, starts):
@@ -941,6 +941,23 @@ class TestShares:
             assert row[0] == res.fun and np.array_equal(end, res.x)
             assert not row[1 + start.size :].any()
 
+    def test_searches_run_in_sweep_order(self, monkeypatch):
+        # one process claims the rows in queue order: J ascending, and the
+        # restarts + 1 starts of each J in turn; a start holds J + the free heights
+        monkeypatch.setattr(estimator, "_shares", lambda: 1)
+        real_minimize, sizes = estimator.minimize, []
+
+        def recording_minimize(fun, x0, **kwargs):
+            sizes.append(len(x0))
+            return real_minimize(fun, x0, **kwargs)
+
+        monkeypatch.setattr(estimator, "minimize", recording_minimize)
+        fit(_bimodal_sample(), self.CFG)
+        free = len(self.CFG.shape.free_levels)
+        assert sizes == [
+            j + free for j in self.CFG.j_values() for _ in range(self.CFG.restarts + 1)
+        ]
+
     @pytest.mark.parametrize("where", ["caller", "everywhere"])
     def test_error_in_a_share_reaches_the_caller(self, monkeypatch, where):
         def fail():
@@ -1087,12 +1104,25 @@ class TestFit:
         grid = np.linspace(a, b, 2001)
         assert abs(np.trapezoid(est.pdf(grid), grid) - 1.0) < 1e-6
 
-    def test_aic_prefers_smaller_j_on_tie(self):
+    def test_aic_prefers_smaller_j_on_tie(self, monkeypatch):
         rng = np.random.default_rng(8)
         z = np.sort(rng.beta(2, 2, 150))
         cfg = FitConfig(shape=ShapeSpec.modes(1), restarts=2, seed=4)
         est = fit(z, cfg)
         assert est.j in cfg.j_values()
+
+        # a stand-in ``_select`` sets J=4's AIC at J=2's less ``below``: J=4
+        # has two more coefficients, so a log-likelihood two higher ties
+        small = FitConfig(shape=cfg.shape, restarts=1, j_max=4)
+        lam = np.zeros(len(cfg.shape.free_levels))
+        for below, kept in [(0.0, 2), (1e-12, 2), (1e-6, 4)]:
+            def at_aic(obj, j, rows, n_modes, below=below):
+                ll = {2: -100.0, 4: -98.0 + below / 2}[j]
+                flat = GridDensity(obj.t, np.ones(obj.t.size))
+                return CoefficientVector(np.zeros(j)), lam, ll, flat
+
+            monkeypatch.setattr(estimator, "_select", at_aic)
+            assert fit(z, small).j == kept
 
     def test_one_objective_per_fit(self, monkeypatch):
         # every J of the sweep evaluates through the one objective built at

@@ -27,14 +27,19 @@ from warpdens import (
     DegenerateSampleError,
     DomainError,
     FitConfig,
+    GridDensity,
+    InvalidSrsfError,
     ShapeError,
     ShapeSpec,
+    SrsfGrid,
+    TangentVector,
     WarpdensError,
     adaptive_bandwidth,
     coeffs_to_warp,
     compute_weights,
     count_modes,
     estimate_support,
+    exp_map,
     fit,
     fit_conditional,
     fit_fixed_j,
@@ -50,6 +55,7 @@ _BIG = np.array([1e308, -1e308] + [0.0] * 20)  # its sd overflows
 _XS = np.random.default_rng(0).normal(0.0, 1.0, 40)
 _CFG = FitConfig(shape=ShapeSpec.modes(1), j_max=2, restarts=1)
 _ZS = np.linspace(0.05, 0.95, 20)  # a unit-interval sample
+_T, _B1 = fourier_basis(2).t, fourier_basis(2).b[0]  # the 1024-point grid, sqrt(2) sin
 
 
 @pytest.mark.parametrize(
@@ -84,6 +90,8 @@ _ZS = np.linspace(0.05, 0.95, 20)  # a unit-interval sample
         (lambda: fit_fixed_j(_ZS, 2.0, _CFG), ConstraintError),
         (lambda: ShapeSpec.modes(10**30), ShapeError),
         (lambda: ShapeSpec.modes(10**9), ShapeError),
+        (lambda: exp_map(TangentVector(_T, 1e160 * _B1)), DomainError),
+        (lambda: SrsfGrid(_T, np.full(_T.size, 1e200)), InvalidSrsfError),
     ],
     ids=["fit-sd-overflow", "cfit-sd-overflow", "support-width-overflow",
          "rescale-width-overflow", "support-nan", "support-inf", "support-2d",
@@ -91,7 +99,8 @@ _ZS = np.linspace(0.05, 0.95, 20)  # a unit-interval sample
          "weights-nan-x0", "loglik-norm-overflow", "warp-norm-overflow",
          "fixed-j-outside-unit", "fixed-j-nan", "fixed-j-strings", "fixed-j-nine",
          "fixed-j-below-step", "fixed-j-beyond-grid", "fixed-j-float",
-         "modes-beyond-index", "modes-billion"],
+         "modes-beyond-index", "modes-billion", "exp-map-norm-overflow",
+         "srsf-norm-overflow"],
 )
 def test_escaped_input_raises_typed_error(call, error):
     with pytest.raises(error):
@@ -131,6 +140,22 @@ def test_warp_takes_its_angle_from_the_coefficients():
     warp = coeffs_to_warp(CoefficientVector([1.3e154, 0.0]), fourier_basis(2))
     assert warp.gamma[0] == 0.0 and warp.gamma[-1] == 1.0
     assert np.all(np.diff(warp.gamma) > 0.0)
+
+
+def test_norm_that_squares_past_the_float_range_is_inf():
+    # 1e160 is finite, but its square is not: the norm says so without a warning
+    assert TangentVector(_T, 1e160 * _B1).norm == math.inf
+    assert TangentVector(_T, 1e150 * _B1).norm < math.inf
+
+
+@pytest.mark.parametrize("value", [1e308, 1e-320], ids=["huge", "subnormal"])
+def test_constant_values_normalize_to_the_uniform_density(value):
+    # the values are scaled to a largest value of 1 before they are integrated,
+    # so neither the huge sum nor the subnormal one loses the density
+    p = GridDensity.from_values(_T, np.full(_T.size, value)).p
+    assert np.allclose(p, 1.0, rtol=1e-12, atol=0.0)
+    with pytest.raises(ShapeError):
+        GridDensity.from_values(_T, np.zeros(_T.size))
 
 
 # -- the grammar ------------------------------------------------------------
