@@ -58,9 +58,9 @@ def _atomic_write_json(path: str, payload: dict) -> None:
 def _read_csv_columns(path: str, ncols: int) -> np.ndarray:
     """Read numeric CSV columns; a single non-numeric first row is a header."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8-sig") as fh:  # a BOM is not a header
             rows = [line.strip() for line in fh if line.strip()]
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DegenerateSampleError(f"cannot read {path}: {exc}")
     if not rows:
         raise DegenerateSampleError(f"{path} is empty")

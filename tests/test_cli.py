@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from warpdens import ConditionalFitConfig, FitConfig, GridDensity, bench, count_modes
-from warpdens.cli import _write_curve_csv, build_parser, main
+from warpdens.cli import _read_csv_columns, _write_curve_csv, build_parser, main
 
 
 def write_sample_csv(path, values, header=None):
@@ -68,6 +68,25 @@ class TestFitCommand:
         src.write_text("")
         code = main(["fit", str(src), "-o", str(tmp_path / "x.json"), "--modes", "1"])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "raw", [b"speed\xb0\n1.0\n2.0\n", b"\xff\xfe1\x000\x00\n\x00"],
+        ids=["latin-1-header", "utf-16"],
+    )
+    def test_non_utf8_csv_exit_2(self, raw, tmp_path, capsys):
+        src = tmp_path / "x.csv"
+        src.write_bytes(raw)
+        out = tmp_path / "x.json"
+        code = main(["fit", str(src), "-o", str(out), "--modes", "1"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot read {src}: ")
+        assert not out.exists()
+
+    def test_utf8_bom_is_not_a_header(self, tmp_path):
+        # a byte-order mark before the first value must not make its row a header
+        src = tmp_path / "x.csv"
+        src.write_bytes(b"\xef\xbb\xbf0.1\n0.2\n0.3\n")
+        assert _read_csv_columns(str(src), 1)[:, 0].tolist() == [0.1, 0.2, 0.3]
 
     def test_modes_and_shape_exclusive(self, sample_csv, tmp_path):
         code = main(

@@ -44,7 +44,9 @@ from warpdens import (
 )
 from warpdens import estimator
 from warpdens.bench import error_norms, normal_mixture
-from warpdens.estimator import _U_CLIP, _fold, _kernel, _Objective, _random_start
+from warpdens.estimator import (
+    MAX_RESTARTS, _U_CLIP, _fold, _kernel, _Objective, _random_start
+)
 
 
 def binned_loglik(z, log_p):
@@ -242,6 +244,7 @@ class TestConfigValidation:
             {"support": np.array(0.5)},
             {"restarts": True},
             {"seed": False},
+            {"restarts": MAX_RESTARTS + 1},  # every start is listed before any runs
         ],
     )
     def test_rejected(self, change):
@@ -397,6 +400,12 @@ GRADIENT_SHAPES = [
     ShapeSpec(("inc", "dec", "inc")),
 ]
 
+# long knot paths for the kernel: 20 pieces, and a lone free mode between flats
+KERNEL_SHAPES = GRADIENT_SHAPES + [
+    ShapeSpec.modes(10),
+    ShapeSpec(("flat", "inc", "flat", "dec", "flat", "inc", "flat", "dec", "flat")),
+]
+
 # the levels the height-ratio vector sets, and each knot's level
 LAYOUTS = {
     ShapeSpec.modes(1): ([], [0, 1, 2]),
@@ -495,7 +504,7 @@ class TestObjective:
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(
-        shape=st.sampled_from(GRADIENT_SHAPES),
+        shape=st.sampled_from(KERNEL_SHAPES),
         j=st.integers(2, 10),
         weighted=st.booleans(),
         outside=st.booleans(),
@@ -585,7 +594,7 @@ class TestObjective:
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(
-        shape=st.sampled_from(GRADIENT_SHAPES),
+        shape=st.sampled_from(KERNEL_SHAPES),
         j=st.integers(2, 10),
         weighted=st.booleans(),
         seed=st.integers(0, 2**32 - 1),

@@ -90,6 +90,7 @@ _T, _B1 = fourier_basis(2).t, fourier_basis(2).b[0]  # the 1024-point grid, sqrt
         (lambda: fit_fixed_j(_ZS, 2.0, _CFG), ConstraintError),
         (lambda: ShapeSpec.modes(10**30), ShapeError),
         (lambda: ShapeSpec.modes(10**9), ShapeError),
+        (lambda: FitConfig(shape=ShapeSpec.modes(1), restarts=10**15), ConstraintError),
         (lambda: exp_map(TangentVector(_T, 1e160 * _B1)), DomainError),
         (lambda: SrsfGrid(_T, np.full(_T.size, 1e200)), InvalidSrsfError),
     ],
@@ -99,7 +100,8 @@ _T, _B1 = fourier_basis(2).t, fourier_basis(2).b[0]  # the 1024-point grid, sqrt
          "weights-nan-x0", "loglik-norm-overflow", "warp-norm-overflow",
          "fixed-j-outside-unit", "fixed-j-nan", "fixed-j-strings", "fixed-j-nine",
          "fixed-j-below-step", "fixed-j-beyond-grid", "fixed-j-float",
-         "modes-beyond-index", "modes-billion", "exp-map-norm-overflow",
+         "modes-beyond-index", "modes-billion", "restarts-beyond-memory",
+         "exp-map-norm-overflow",
          "srsf-norm-overflow"],
 )
 def test_escaped_input_raises_typed_error(call, error):
