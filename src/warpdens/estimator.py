@@ -49,6 +49,7 @@ _VISIBLE = 4.0  # antimode depth in multiples of the least rise count_modes sees
 J_STEP = 2  # the J sweep adds one sin/cos pair at a time
 MAXITER = 400  # BFGS iterations per start
 MAX_RESTARTS = 10_000  # random starts per J; all are listed before any runs
+MAX_TABLE_BYTES = 2**30  # search table: one row of 1 + j_max + free floats a start
 OMEGA = 1e-3  # template floor: the height of the boundary antimodes
 
 
@@ -56,7 +57,8 @@ OMEGA = 1e-3  # template floor: the height of the boundary antimodes
 class FitConfig:
     """Settings for a density fit: J runs ``J_STEP``, 2 ``J_STEP``, ..., j_max,
     each J from 1 + restarts (<= 1 + ``MAX_RESTARTS``) starts of <= ``MAXITER``
-    iterations; the floor ``OMEGA`` and ``DEFAULT_GRID_SIZE``-point grid are fixed."""
+    iterations, whose rows fill at most ``MAX_TABLE_BYTES``; the floor ``OMEGA``
+    and ``DEFAULT_GRID_SIZE``-point grid are fixed."""
 
     shape: ShapeSpec
     j_max: int = 10
@@ -76,6 +78,13 @@ class FitConfig:
                 f"a shape of {self.shape.n_pieces} pieces has pieces narrower than"
                 f" one step of the {DEFAULT_GRID_SIZE}-point grid; at most"
                 f" {MAX_PIECES} fit"
+            )
+        width = 1 + self.j_max + len(self.shape.free_levels)  # one row: fun, theta
+        table = len(self.j_values()) * (self.restarts + 1) * width * 8
+        if table > MAX_TABLE_BYTES:
+            raise ConstraintError(
+                f"j_max={self.j_max} and restarts={self.restarts} need a search"
+                f" table of {table:,} bytes; at most {MAX_TABLE_BYTES:,} fit"
             )
         if self.support is not None:
             object.__setattr__(self, "support", interval(self.support, ConstraintError))
@@ -244,10 +253,10 @@ class _Objective:
             dh_du[k] = heights[i] * (1.0 - sig) * inside[k]
         return np.array(heights), dh_du, links
 
-    def forward(self, c: np.ndarray, kh: np.ndarray):
-        """(loglik, normalized grid density) at (c, knot heights)."""
+    def forward(self, c: np.ndarray, kh: np.ndarray) -> tuple[float, GridDensity]:
+        """(loglik, grid density) at (c, knot heights)."""
         ll, tape = self._tape(c, kh)
-        return ll, tape[-2] / tape[-1]
+        return ll, GridDensity(self.t, tape[-2] / tape[-1])
 
     def _tape(self, c: np.ndarray, kh: np.ndarray):
         """(loglik, what the reverse pass reuses); kh is an array."""
@@ -326,9 +335,7 @@ def _kernel(
     ``build_template`` rejects an infeasible lambda with ConstraintError.
     """
     kh = build_template(cfg.shape, lam, omega=OMEGA, n=DEFAULT_GRID_SIZE).knot_heights
-    obj = _Objective(z, cfg.shape, c.size, weights)
-    ll, p = obj.forward(c, kh)
-    return ll, GridDensity(obj.t, p)
+    return _Objective(z, cfg.shape, c.size, weights).forward(c, kh)
 
 
 def _weighted_sample(x, weights, least: int) -> tuple[np.ndarray, np.ndarray | None]:
@@ -502,22 +509,26 @@ def _search(
 
 
 def _select(
-    obj: _Objective, j: int, rows: np.ndarray, n_modes: int
-) -> tuple[CoefficientVector, np.ndarray, float, GridDensity]:
-    """The best of one J's searches whose grid density has ``n_modes`` modes.
+    obj: _Objective, j: int, rows: np.ndarray, n_modes: int, support: tuple
+) -> DensityEstimate:
+    """J's estimate on ``support``: the best of J's searches whose grid
+    density has ``n_modes`` modes.
 
     ``count_modes`` checks the rows once each, best objective first (ties
-    to the earliest start), and the first with the requested modes is
-    returned with c folded into ||c|| <= pi/2 (``_fold``), and with the
-    log-likelihood and grid density at that c.
+    to the earliest start), and the first with the requested modes gives
+    the estimate: c folded into ||c|| <= pi/2 (``_fold``), the heights,
+    and the log-likelihood, AIC and grid density at that c.
     """
     for theta in rows[np.argsort(rows[:, 0], kind="stable"), 1:]:
         c = _fold(theta[:j])
         heights = obj.heights(theta[j:])[0]
-        ll, p = obj.forward(c, heights[obj.knot_levels])
-        dens = GridDensity(obj.t, p)
+        ll, dens = obj.forward(c, heights[obj.knot_levels])
         if count_modes(dens) == n_modes:
-            return CoefficientVector(c), heights[obj.free], ll, dens
+            lam = heights[obj.free]
+            aic = 2.0 * (j + lam.size) - 2.0 * ll
+            return DensityEstimate(
+                dens.t, dens.p, CoefficientVector(c), lam, j, ll, aic, support
+            )
     raise OptimizationError(f"J={j}: no restart's grid density has {n_modes} modes")
 
 
@@ -543,7 +554,8 @@ def fit_fixed_j(
     z, weights = _unit_sample(z, weights, 10)
     j = _basis_size(j, "j")
     obj, [rows] = _search(z, [j], cfg, weights)
-    return _select(obj, j, rows, cfg.shape.n_modes)
+    est = _select(obj, j, rows, cfg.shape.n_modes, (0.0, 1.0))
+    return est.c_hat, est.lambda_hat, est.loglik, est.unit_density()
 
 
 def fit(
@@ -554,8 +566,8 @@ def fit(
     """Full fit: support, rescaling, J sweep, AIC selection.
 
     Every J's searches run in one ``_run_starts`` queue, J ascending, so a
-    fit forks once; each J's winner is then picked as ``fit_fixed_j``
-    picks it, and the AIC loop reads the J blocks in the same order.
+    fit forks once; ``_select`` then makes each J's estimate, and the
+    least-AIC one (ties to the smaller J) is returned as it is.
     ``weights``, if given, hold one finite, non-negative weight per sample
     and sum to 1.  A J at which no restart's grid density has the
     requested mode count drops out of the AIC comparison.
@@ -568,23 +580,11 @@ def fit(
     obj, blocks = _search(z, cfg.j_values(), cfg, weights)
     for j, rows in zip(cfg.j_values(), blocks):
         try:
-            c, lam, ll, dens = _select(obj, j, rows, cfg.shape.n_modes)
+            est = _select(obj, j, rows, cfg.shape.n_modes, (a, b))
         except OptimizationError:
             continue  # no candidate with the requested shape at this J
-        k = j + lam.size
-        aic = 2.0 * k - 2.0 * ll
-        if best is None or aic < best[0] - _AIC_TIE:
-            best = (aic, j, c, lam, ll, dens)
+        if best is None or est.aic < best.aic - _AIC_TIE:
+            best = est
     if best is None:
         raise OptimizationError(f"no J in {cfg.j_values()} gave a fit")
-    aic, j, c, lam, ll, dens = best
-    return DensityEstimate(
-        t=dens.t,
-        p=dens.p,
-        c_hat=c,
-        lambda_hat=lam,
-        j=j,
-        loglik=ll,
-        aic=aic,
-        support=(a, b),
-    )
+    return best

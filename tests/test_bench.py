@@ -178,6 +178,16 @@ def strip_wall(records):
 
 
 class TestRunBenchmark:
+    @pytest.mark.parametrize("name", list(BENCHMARKS))
+    def test_every_registry_entry_runs(self, name):
+        # every sampler, truth and conditional setup in the registry, once
+        spec = dataclasses.replace(
+            BENCHMARKS[name], replicates=1, restarts=1, j_max=4
+        )
+        summary = run_benchmark(spec, spec.sample_sizes[0])
+        assert summary.failures == 0
+        assert all(math.isfinite(summary.mean[k]) for k in ("L1", "L2", "Linf"))
+
     def test_deterministic_summary(self):
         spec = small_spec()
         a = run_benchmark(spec, 60)

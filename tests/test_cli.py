@@ -5,8 +5,19 @@ import json
 import numpy as np
 import pytest
 
-from warpdens import ConditionalFitConfig, FitConfig, GridDensity, bench, count_modes
-from warpdens.cli import _read_csv_columns, _write_curve_csv, build_parser, main
+from warpdens import (
+    ConditionalFitConfig,
+    ConstraintError,
+    FitConfig,
+    GridDensity,
+    ShapeSpec,
+    bench,
+    count_modes,
+    estimator,
+)
+from warpdens.cli import (
+    _fit_config, _read_csv_columns, _write_curve_csv, build_parser, main
+)
 
 
 def write_sample_csv(path, values, header=None):
@@ -175,6 +186,27 @@ class TestFitCommand:
         assert all(flag in err for flag in named), err
         assert not out.exists()
 
+    def test_search_table_error_names_both_flags(self):
+        # only the config is built: the fit would list 41.8 GB of search rows
+        args = build_parser().parse_args(
+            ["fit", "in.csv", "-o", "out.json", "--modes", "1"]
+            + ["--jmax", "1022", "--restarts", "10000"]
+        )
+        with pytest.raises(ConstraintError, match=r"\(set by --jmax and --restarts\)$"):
+            _fit_config(args, ShapeSpec.modes(1))
+
+    def test_no_candidate_exit_3(self, sample_csv, tmp_path, capsys, monkeypatch):
+        # no search's density has the requested mode count at any J
+        monkeypatch.setattr(estimator, "count_modes", lambda dens: 0)
+        out = tmp_path / "x.json"
+        code = main(
+            ["fit", str(sample_csv), "-o", str(out)]
+            + ["--modes", "1", "--restarts", "1", "--jmax", "4"]
+        )
+        assert code == 3
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
     @pytest.mark.parametrize("curve", [False, True], ids=["output", "curve-csv"])
     def test_unwritable_output_exit_2(self, curve, sample_csv, tmp_path, capsys):
         bad = str(tmp_path / "missing" / "out")
@@ -260,6 +292,21 @@ class TestCfitCommand:
         assert payload["x0"] == pytest.approx(float(np.median(x)))
         assert payload["bandwidth"] > 0
         assert payload["n_eff"] > 1
+
+    def test_curve_csv(self, tmp_path):
+        rng = np.random.default_rng(5)
+        x = rng.uniform(0, 1, 120)
+        src = tmp_path / "xy.csv"
+        write_xy_csv(src, x, rng.normal(x, 0.3))
+        curve = tmp_path / "curve.csv"
+        code = main(
+            ["cfit", str(src), "-o", str(tmp_path / "cfit.json"), "--modes", "1"]
+            + ["--restarts", "1", "--jmax", "2", "--curve-csv", str(curve)]
+        )
+        assert code == 0
+        lines = curve.read_text().splitlines()
+        assert lines[0] == "x,p" and len(lines) == 1 + 512
+        assert np.all(np.isfinite(np.loadtxt(lines[1:], delimiter=",")))
 
     def test_missing_second_column_exit_2(self, tmp_path):
         src = tmp_path / "one.csv"

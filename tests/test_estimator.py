@@ -245,11 +245,23 @@ class TestConfigValidation:
             {"restarts": True},
             {"seed": False},
             {"restarts": MAX_RESTARTS + 1},  # every start is listed before any runs
+            {"j_max": 1022, "restarts": MAX_RESTARTS},  # a 41.8 GB search table
         ],
     )
     def test_rejected(self, change):
         with pytest.raises(ConstraintError):
             FitConfig(shape=ShapeSpec.modes(1), **change)
+
+    def test_search_table_bounded(self, monkeypatch):
+        for spec in BENCHMARKS.values():  # the registry's sweeps stay accepted
+            FitConfig(shape=spec.shape, j_max=spec.j_max, restarts=spec.restarts)
+        # J = 2, 4 from 4 starts each; a row holds fun, 4 c's and 2 heights
+        shape, table = ShapeSpec.modes(2), 2 * 4 * (1 + 4 + 2) * 8
+        monkeypatch.setattr(estimator, "MAX_TABLE_BYTES", table)
+        FitConfig(shape=shape, j_max=4, restarts=3)
+        monkeypatch.setattr(estimator, "MAX_TABLE_BYTES", table - 1)
+        with pytest.raises(ConstraintError, match=f"table of {table} bytes"):
+            FitConfig(shape=shape, j_max=4, restarts=3)
 
     @pytest.mark.parametrize(
         "pieces, accepted",
@@ -489,7 +501,7 @@ class TestObjective:
 
             def finite_and_counted(u):
                 kh = obj.heights(u)[0][shape.knot_levels]
-                dens = GridDensity(obj.t, obj.forward(np.zeros(2), kh)[1])
+                dens = obj.forward(np.zeros(2), kh)[1]
                 return (
                     math.isfinite(obj.value_and_grad(np.append([0.3, -0.2], u))[0])
                     and count_modes(dens) == shape.n_modes
@@ -568,7 +580,7 @@ class TestObjective:
 
         def density(theta):
             kh = obj.heights(theta[4:])[0][obj.knot_levels]
-            return obj.forward(theta[:4], kh)[1]
+            return obj.forward(theta[:4], kh)[1].p
 
         p_a = density(theta_a)
         p_kept = p_a.copy()
@@ -622,7 +634,7 @@ class TestObjective:
         ll = log_likelihood(z, CoefficientVector(c), lam, cfg, w)
         assert abs(ll + f) <= 1e-9 * abs(ll)
 
-        p = obj.forward(c, heights[obj.knot_levels])[1]
+        p = obj.forward(c, heights[obj.knot_levels])[1].p
         assert abs(np.trapezoid(p, obj.t) - 1.0) <= 1e-6
         warp = coeffs_to_warp(CoefficientVector(c), fourier_basis(j, 1024))
         ref = group_action(build_template(shape, lam, 1e-3, 1024), warp).p
@@ -1119,16 +1131,20 @@ class TestFit:
         cfg = FitConfig(shape=ShapeSpec.modes(1), restarts=2, seed=4)
         est = fit(z, cfg)
         assert est.j in cfg.j_values()
+        assert est.aic == 2.0 * (est.j + est.lambda_hat.size) - 2.0 * est.loglik
 
         # a stand-in ``_select`` sets J=4's AIC at J=2's less ``below``: J=4
         # has two more coefficients, so a log-likelihood two higher ties
         small = FitConfig(shape=cfg.shape, restarts=1, j_max=4)
         lam = np.zeros(len(cfg.shape.free_levels))
         for below, kept in [(0.0, 2), (1e-12, 2), (1e-6, 4)]:
-            def at_aic(obj, j, rows, n_modes, below=below):
+            def at_aic(obj, j, rows, n_modes, support, below=below):
                 ll = {2: -100.0, 4: -98.0 + below / 2}[j]
-                flat = GridDensity(obj.t, np.ones(obj.t.size))
-                return CoefficientVector(np.zeros(j)), lam, ll, flat
+                aic = 2.0 * (j + lam.size) - 2.0 * ll
+                flat, c = np.ones(obj.t.size), CoefficientVector(np.zeros(j))
+                return estimator.DensityEstimate(
+                    obj.t, flat, c, lam, j, ll, aic, support
+                )
 
             monkeypatch.setattr(estimator, "_select", at_aic)
             assert fit(z, small).j == kept
@@ -1161,10 +1177,10 @@ class TestFit:
     def test_j_without_candidate_drops_out(self, monkeypatch):
         real = estimator._select
 
-        def fail_at_2(obj, j, rows, n_modes):
+        def fail_at_2(obj, j, rows, n_modes, support):
             if j == 2:
                 raise OptimizationError("no candidate")
-            return real(obj, j, rows, n_modes)
+            return real(obj, j, rows, n_modes, support)
 
         monkeypatch.setattr(estimator, "_select", fail_at_2)
         z = np.sort(np.random.default_rng(8).beta(2, 2, 150))

@@ -29,12 +29,15 @@ from warpdens import (
     FitConfig,
     GridDensity,
     InvalidSrsfError,
+    InvalidWarpError,
     ShapeError,
     ShapeSpec,
     SrsfGrid,
     TangentVector,
     WarpdensError,
+    WarpingGrid,
     adaptive_bandwidth,
+    build_template,
     coeffs_to_warp,
     compute_weights,
     count_modes,
@@ -44,18 +47,22 @@ from warpdens import (
     fit_conditional,
     fit_fixed_j,
     fourier_basis,
+    height_ratios_of,
     log_likelihood,
+    oracle_reconstruct_warp,
     pilot_bandwidth,
     rescale_to_unit,
     run_benchmark,
 )
 from warpdens.cli import main
+from warpdens.templates import level_heights
 
 _BIG = np.array([1e308, -1e308] + [0.0] * 20)  # its sd overflows
 _XS = np.random.default_rng(0).normal(0.0, 1.0, 40)
 _CFG = FitConfig(shape=ShapeSpec.modes(1), j_max=2, restarts=1)
 _ZS = np.linspace(0.05, 0.95, 20)  # a unit-interval sample
 _T, _B1 = fourier_basis(2).t, fourier_basis(2).b[0]  # the 1024-point grid, sqrt(2) sin
+_TENT = GridDensity.from_values(_T, np.minimum(_T, 1.0 - _T))  # one mode, at 1/2
 
 
 @pytest.mark.parametrize(
@@ -93,6 +100,18 @@ _T, _B1 = fourier_basis(2).t, fourier_basis(2).b[0]  # the 1024-point grid, sqrt
         (lambda: FitConfig(shape=ShapeSpec.modes(1), restarts=10**15), ConstraintError),
         (lambda: exp_map(TangentVector(_T, 1e160 * _B1)), DomainError),
         (lambda: SrsfGrid(_T, np.full(_T.size, 1e200)), InvalidSrsfError),
+        (lambda: fit_conditional(_XS, _XS[:30], ConditionalFitConfig(_CFG, 0.0)),
+         DegenerateSampleError),
+        (lambda: coeffs_to_warp(CoefficientVector([0.1, 0.0]), fourier_basis(4)),
+         DomainError),
+        (lambda: WarpingGrid(_T, _T[:-1]), InvalidWarpError),
+        (lambda: level_heights(ShapeSpec.modes(2), [0.5], 1e-3), ConstraintError),
+        (lambda: build_template(ShapeSpec.modes(2), [0.5, 0.4], 1e-3), ConstraintError),
+        (lambda: height_ratios_of(GridDensity(_T, 2.0 * _T)), ShapeError),
+        (lambda: oracle_reconstruct_warp(_TENT, ShapeSpec(("inc", "flat", "dec"))),
+         ShapeError),
+        (lambda: oracle_reconstruct_warp(_TENT, ShapeSpec(("inc", "dec"), True)),
+         ShapeError),
     ],
     ids=["fit-sd-overflow", "cfit-sd-overflow", "support-width-overflow",
          "rescale-width-overflow", "support-nan", "support-inf", "support-2d",
@@ -102,7 +121,9 @@ _T, _B1 = fourier_basis(2).t, fourier_basis(2).b[0]  # the 1024-point grid, sqrt
          "fixed-j-below-step", "fixed-j-beyond-grid", "fixed-j-float",
          "modes-beyond-index", "modes-billion", "restarts-beyond-memory",
          "exp-map-norm-overflow",
-         "srsf-norm-overflow"],
+         "srsf-norm-overflow", "cfit-lengths-differ", "warp-basis-of-other-j",
+         "warp-grid-lengths-differ", "heights-wrong-length", "piece-not-increasing",
+         "ratios-without-interior-mode", "oracle-flat-piece", "oracle-free-boundaries"],
 )
 def test_escaped_input_raises_typed_error(call, error):
     with pytest.raises(error):
